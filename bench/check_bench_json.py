@@ -28,7 +28,11 @@ Schema (schema_version 1):
                         section collapsed (dead-code-eliminated or mis-timed)
     perf_hotpath        must publish the full wall_clock metric set and its
                         zero-page fast path must actually be faster than the
-                        codec path (wall_clock.zero_speedup_vs_codec > 1)
+                        codec path (wall_clock.zero_speedup_vs_codec > 1);
+                        per-fault host cost must stay flat as memory grows,
+                        gated as a ratio within the same run:
+                          wall_clock.us_per_fault_64mb
+                            <= 1.5 * wall_clock.us_per_fault_4mb
     proc.*              per-process attribution counters from the scheduler;
                         when present (unprefixed), each family must sum
                         exactly to the machine total it partitions:
@@ -136,9 +140,15 @@ PERF_HOTPATH_METRICS = (
     "wall_clock.codec_pages_per_sec",
     "wall_clock.zero_speedup_vs_codec",
     "wall_clock.faults_per_sec",
+    "wall_clock.us_per_fault_4mb",
+    "wall_clock.us_per_fault_16mb",
+    "wall_clock.us_per_fault_64mb",
     "wall_clock.sweep_speedup",
     "wall_clock.sweep_threads",
 )
+# Same-run bound on us_per_fault_64mb / us_per_fault_4mb: per-fault eviction
+# bookkeeping is O(1), so a 16x larger machine may cost only cache effects.
+PERF_HOTPATH_SCALING_LIMIT = 1.5
 
 
 def is_number(v):
@@ -502,6 +512,13 @@ def validate(path):
         if is_number(speedup) and speedup <= 1:
             err(f"perf_hotpath zero-page fast path must beat the codec path, "
                 f"got speedup {speedup}")
+        small = metrics.get("wall_clock.us_per_fault_4mb")
+        large = metrics.get("wall_clock.us_per_fault_64mb")
+        if is_number(small) and is_number(large) and small > 0 and \
+                large > PERF_HOTPATH_SCALING_LIMIT * small:
+            err(f"perf_hotpath per-fault host cost must stay flat as memory "
+                f"grows: us_per_fault_64mb {large:.1f} > "
+                f"{PERF_HOTPATH_SCALING_LIMIT} x us_per_fault_4mb {small:.1f}")
 
     return errors
 

@@ -3,16 +3,22 @@
 // Unlike every other bench, which reports *virtual* time from the simulated
 // clock, this one times the simulator itself with std::chrono::steady_clock.
 // It exists to keep the hot-path optimizations honest: the zero-page fast
-// path, the scratch-arena compress/decompress path, and the parallel sweep
-// runner all claim real-time wins, and this bench turns each claim into a
-// number CI can check (bench/check_bench_json.py requires every wall_clock.*
-// metric to be positive and zero_speedup_vs_codec to beat 1).
+// path, the scratch-arena compress/decompress path, the O(1) eviction
+// bookkeeping, and the parallel sweep runner all claim real-time wins, and
+// this bench turns each claim into a number CI can check
+// (bench/check_bench_json.py requires every wall_clock.* metric to be
+// positive, zero_speedup_vs_codec to beat 1, and us_per_fault_64mb to stay
+// within 1.5x of us_per_fault_4mb).
 //
 // Reported metrics (all under "metrics" in the JSON report):
 //   wall_clock.zero_pages_per_sec    CompressPage on all-zero pages
 //   wall_clock.codec_pages_per_sec   CompressPage through the codec (text)
 //   wall_clock.zero_speedup_vs_codec ratio of the two
 //   wall_clock.faults_per_sec        end-to-end thrashing faults serviced
+//   wall_clock.us_per_fault_{4,16,64}mb  host time per fault of a thrasher at
+//                                    2x the working set on a 4/16/64 MB
+//                                    machine; flat when per-fault bookkeeping
+//                                    does not grow with memory
 //   wall_clock.sweep_speedup         parallel sweep vs the same sweep serial
 //   wall_clock.sweep_threads         worker count the parallel sweep used
 #include <chrono>
@@ -55,6 +61,30 @@ double CompressRate(Machine& machine, std::span<const uint8_t> page, int iters) 
     (void)cc->CompressPage(page);
   }
   return iters / SecondsSince(start);
+}
+
+// Host microseconds per fault of a read-write thrasher over twice `memory`,
+// timed after the untimed init pass. Every machine size runs about the same
+// number of measured faults (smaller machines make more passes), so the rows
+// differ only in how much memory the bookkeeping has to cover.
+double UsPerFault(uint64_t memory) {
+  constexpr uint64_t kLargestMemory = 64 * kMiB;
+  Machine machine(MachineConfig::WithCompressionCache(memory));
+  ThrasherOptions options;
+  options.address_space_bytes = 2 * memory;
+  options.write = true;
+  options.passes = static_cast<int>(kLargestMemory / memory);
+  options.content = ContentClass::kSparseNumeric;
+  Thrasher app(options);
+  while (app.result().setup_time.nanos() == 0 && !app.Step(machine)) {
+  }
+  const uint64_t faults_before = machine.pager().stats().faults;
+  const WallClock::time_point start = WallClock::now();
+  while (!app.Step(machine)) {
+  }
+  const double seconds = SecondsSince(start);
+  const uint64_t faults = machine.pager().stats().faults - faults_before;
+  return seconds * 1e6 / static_cast<double>(faults);
 }
 
 // One small thrashing machine; the unit of the sweep-speedup measurement.
@@ -113,6 +143,16 @@ int main(int argc, char** argv) {
   std::printf("  %llu faults in %.2f s host time: %12.0f faults/s\n\n",
               static_cast<unsigned long long>(faults), fault_seconds, faults_per_sec);
 
+  // --- per-fault host cost as memory grows ---
+  const double us_per_fault_4mb = UsPerFault(4 * kMiB);
+  const double us_per_fault_16mb = UsPerFault(16 * kMiB);
+  const double us_per_fault_64mb = UsPerFault(64 * kMiB);
+  std::printf("per-fault host cost (rw thrasher at 2x the working set):\n");
+  std::printf("   4 MB machine: %8.1f us/fault\n", us_per_fault_4mb);
+  std::printf("  16 MB machine: %8.1f us/fault\n", us_per_fault_16mb);
+  std::printf("  64 MB machine: %8.1f us/fault\n", us_per_fault_64mb);
+  std::printf("  64 MB / 4 MB:  %8.2fx\n\n", us_per_fault_64mb / us_per_fault_4mb);
+
   // --- parallel sweep speedup, byte-identical results required ---
   constexpr size_t kSweepJobs = 8;
   const std::vector<std::function<SimDuration()>> jobs(kSweepJobs, SweepJob);
@@ -148,6 +188,9 @@ int main(int argc, char** argv) {
       .Set("codec_pages_per_sec", codec_rate)
       .Set("zero_speedup_vs_codec", zero_speedup)
       .Set("faults_per_sec", faults_per_sec)
+      .Set("us_per_fault_4mb", us_per_fault_4mb)
+      .Set("us_per_fault_16mb", us_per_fault_16mb)
+      .Set("us_per_fault_64mb", us_per_fault_64mb)
       .Set("sweep_speedup", sweep_speedup)
       .Set("sweep_threads", static_cast<uint64_t>(threads));
   const std::vector<std::pair<std::string, double>> wall = {
@@ -155,6 +198,9 @@ int main(int argc, char** argv) {
       {"wall_clock.codec_pages_per_sec", codec_rate},
       {"wall_clock.zero_speedup_vs_codec", zero_speedup},
       {"wall_clock.faults_per_sec", faults_per_sec},
+      {"wall_clock.us_per_fault_4mb", us_per_fault_4mb},
+      {"wall_clock.us_per_fault_16mb", us_per_fault_16mb},
+      {"wall_clock.us_per_fault_64mb", us_per_fault_64mb},
       {"wall_clock.sweep_speedup", sweep_speedup},
       {"wall_clock.sweep_threads", static_cast<double>(threads)},
   };

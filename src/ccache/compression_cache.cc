@@ -562,6 +562,10 @@ void CompressionCache::OverwriteCompressed(PageKey key, std::span<const uint8_t>
     e->original_size = original_size;
     e->zero_page = zero_page;
     e->dirty = dirty;
+    if (dirty) {
+      // The only place an entry turns dirty behind the cleaner's cursor.
+      first_dirty_seq_ = std::min(first_dirty_seq_, index_.at(key));
+    }
     e->checksum = 0;
     if (options_.checksums && !payload.empty()) {
       e->checksum = Crc32(payload);
@@ -915,10 +919,21 @@ bool CompressionCache::ReleaseOldest() {
   return true;
 }
 
+size_t CompressionCache::FirstDirtyIndex() {
+  first_dirty_seq_ = std::max(first_dirty_seq_, base_seq_);
+  size_t i = static_cast<size_t>(first_dirty_seq_ - base_seq_);
+  while (i < entries_.size() && !(entries_[i].valid && entries_[i].dirty)) {
+    ++i;
+  }
+  first_dirty_seq_ = base_seq_ + i;
+  return i;
+}
+
 bool CompressionCache::WriteOldestDirtyBatch() {
   std::vector<SwapPageImage> batch;
   uint64_t payload = 0;
-  for (const Entry& e : entries_) {
+  for (size_t i = FirstDirtyIndex(); i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
     if (!e.valid || !e.dirty) {
       continue;
     }
@@ -973,14 +988,9 @@ bool CompressionCache::WriteOldestDirtyBatch() {
   return true;
 }
 
-size_t CompressionCache::CleanPrefixFrames() const {
-  uint64_t prefix_end = tail_off_;
-  for (const Entry& e : entries_) {
-    if (e.valid && e.dirty) {
-      prefix_end = e.header_off;
-      break;
-    }
-  }
+size_t CompressionCache::CleanPrefixFrames() {
+  const size_t i = FirstDirtyIndex();
+  const uint64_t prefix_end = i < entries_.size() ? entries_[i].header_off : tail_off_;
   return static_cast<size_t>(prefix_end / kPageSize - head_off_ / kPageSize);
 }
 
@@ -1044,6 +1054,12 @@ void CompressionCache::ResetStats() {
 void CompressionCache::CorruptLiveBytesForTest(size_t slot, int64_t delta) {
   CC_EXPECTS(slot < live_bytes_.size());
   live_bytes_[slot] = static_cast<uint64_t>(static_cast<int64_t>(live_bytes_[slot]) + delta);
+}
+
+uint64_t CompressionCache::SkipDirtyCursorToTailForTest() {
+  const uint64_t old = first_dirty_seq_;
+  first_dirty_seq_ = base_seq_ + entries_.size();
+  return old;
 }
 
 void CompressionCache::AliasIndexKeyForTest(PageKey existing, PageKey alias) {
@@ -1171,6 +1187,22 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
     }
     return std::nullopt;
   });
+  // Dirty cursor: the cleaner skips everything before first_dirty_seq_, so no
+  // valid dirty entry may lie there (it would never be written out by the
+  // cleaner), and the cursor never runs past the tail.
+  auditor->Register("ccache", "dirty-cursor", [this]() -> std::optional<std::string> {
+    const uint64_t end_seq = base_seq_ + entries_.size();
+    if (first_dirty_seq_ > end_seq) {
+      return "dirty cursor runs past the tail sequence " + std::to_string(end_seq);
+    }
+    for (uint64_t seq = base_seq_; seq < first_dirty_seq_; ++seq) {
+      const Entry& e = entries_[static_cast<size_t>(seq - base_seq_)];
+      if (e.valid && e.dirty) {
+        return "dirty entry at sequence " + std::to_string(seq) + " precedes the cursor";
+      }
+    }
+    return std::nullopt;
+  });
 }
 
 void CompressionCache::CheckInvariants() const {
@@ -1197,6 +1229,13 @@ void CompressionCache::CheckInvariants() const {
   }
   CC_ASSERT(expected == tail_off_);
   CC_ASSERT(valid_count == index_.size());
+
+  // No valid dirty entry precedes the cleaner's cursor.
+  CC_ASSERT(first_dirty_seq_ <= base_seq_ + entries_.size());
+  for (uint64_t seq = base_seq_; seq < first_dirty_seq_; ++seq) {
+    const Entry& e = entries_[static_cast<size_t>(seq - base_seq_)];
+    CC_ASSERT(!(e.valid && e.dirty));
+  }
 
   // Recompute per-slot live bytes from valid entries and check the accounting,
   // that every slot holding valid bytes is mapped, and the dead-slot set.

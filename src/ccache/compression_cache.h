@@ -280,7 +280,8 @@ class CompressionCache {
   // Invariants: ring occupancy — the contiguous entry chain spans exactly
   // [head, tail] and per-slot live-byte accounting matches a recount — plus
   // index coherence: every index key maps to exactly the valid entry bearing
-  // that key (no double-maps), and valid entries == index size.
+  // that key (no double-maps), and valid entries == index size — plus the
+  // cleaner's dirty cursor: no valid dirty entry precedes it.
   void RegisterAuditChecks(InvariantAuditor* auditor);
 
   // --- observability ---
@@ -333,6 +334,10 @@ class CompressionCache {
   void AliasIndexKeyForTest(PageKey existing, PageKey alias);
   // Undoes AliasIndexKeyForTest so the shutdown audit sees a healthy cache.
   void RemoveIndexKeyForTest(PageKey key) { index_.erase(key); }
+  // Moves the cleaner's dirty cursor to the tail, past any dirty entries, and
+  // returns the old cursor; RestoreDirtyCursorForTest undoes it.
+  uint64_t SkipDirtyCursorToTailForTest();
+  void RestoreDirtyCursorForTest(uint64_t seq) { first_dirty_seq_ = seq; }
   uint64_t head_off() const { return head_off_; }
   uint64_t tail_off() const { return tail_off_; }
 
@@ -389,7 +394,11 @@ class CompressionCache {
   bool WriteOldestDirtyBatch();
 
   // Frames worth of clean/invalid prefix at the head (reclaimable without I/O).
-  size_t CleanPrefixFrames() const;
+  size_t CleanPrefixFrames();
+
+  // Index in entries_ of the oldest valid dirty entry (entries_.size() when
+  // none), advancing first_dirty_seq_ past the clean/invalid entries walked.
+  size_t FirstDirtyIndex();
 
   void UnmapSlotsBelow(uint64_t old_head, uint64_t new_head);
 
@@ -421,6 +430,12 @@ class CompressionCache {
   // Append order; contiguous: entry[i+1].header_off == entry[i].end_off().
   std::deque<Entry> entries_;
   uint64_t base_seq_ = 0;      // sequence number of entries_.front()
+  // Lower bound on the sequence number of the oldest valid dirty entry: no
+  // valid dirty entry lies before it (it may trail base_seq_ after head pops).
+  // The cleaner starts its scans here instead of rescanning the clean prefix.
+  // Appends land after it; only an in-place overwrite can re-dirty an entry
+  // behind it, and OverwriteCompressed lowers it there.
+  uint64_t first_dirty_seq_ = 0;
   std::unordered_map<PageKey, uint64_t, PageKeyHash> index_;  // key -> sequence number
 
   // Adaptive-disable state (see AdaptiveCompressionOptions).

@@ -104,6 +104,20 @@ class LruList {
     }
   }
 
+  // Walks LRU-to-MRU and returns the first element for which pred(T&) holds,
+  // or nullptr; elements past the match are never visited. pred must not
+  // mutate the list.
+  template <typename Pred>
+  T* FindFirst(Pred&& pred) const {
+    for (const LruLink* l = head_.next; l != &head_; l = l->next) {
+      T* t = FromLink(l);
+      if (pred(*t)) {
+        return t;
+      }
+    }
+    return nullptr;
+  }
+
  private:
   static T* FromLink(const LruLink* link) { return static_cast<T*>(link->owner); }
 

@@ -509,29 +509,36 @@ uint64_t Pager::OldestAge() const {
   return lru == nullptr ? UINT64_MAX : lru->age_ns;
 }
 
+std::vector<PageKey> Pager::LruOrder() const {
+  std::vector<PageKey> order;
+  order.reserve(lru_.size());
+  lru_.ForEach([&](const PageEntry& e) { order.push_back(e.key); });
+  return order;
+}
+
 bool Pager::ReleaseOldest() {
   if (eviction_depth_ >= options_.max_eviction_depth) {
     return false;
   }
-  // Find the oldest un-pinned resident page (LRU-to-MRU scan; pinned pages are
-  // rare and transient, so the first hit is almost always the true LRU). Pages
-  // pinned by application advisory are passed over while any other victim
-  // exists; they remain fair game as a last resort — the advisory is a hint.
-  PageEntry* victim = nullptr;
+  // The victim is the first page in LRU order that is neither pinned mid-fault
+  // nor advise-pinned; the walk stops there, so it costs the number of pinned
+  // and advised pages ahead of the victim, not the resident-set size. Advised
+  // pages are passed over while any other victim exists but stay fair game as
+  // a last resort (the advisory is a hint): the first unpinned one seen on the
+  // way is the fallback, and when the walk finds no plain victim it has seen
+  // every page, so that fallback is the first unpinned advised page overall.
   PageEntry* advised_fallback = nullptr;
-  lru_.ForEach([&](const PageEntry& e) {
+  PageEntry* victim = lru_.FindFirst([&](PageEntry& e) {
     if (e.pinned) {
-      return;
+      return false;
     }
     if (e.advise_pinned) {
       if (advised_fallback == nullptr) {
-        advised_fallback = const_cast<PageEntry*>(&e);
+        advised_fallback = &e;
       }
-      return;
+      return false;
     }
-    if (victim == nullptr) {
-      victim = const_cast<PageEntry*>(&e);
-    }
+    return true;
   });
   if (victim == nullptr) {
     victim = advised_fallback;

@@ -207,6 +207,8 @@ class Pager : public CcacheEvents {
   void OnEntryLost(PageKey key) override;
 
   size_t resident_pages() const { return lru_.size(); }
+  // Resident pages in LRU-to-MRU order (introspection for tests; O(resident)).
+  std::vector<PageKey> LruOrder() const;
   const VmStats& stats() const { return stats_; }
   void ResetStats();
   bool uses_compression_cache() const { return ccache_ != nullptr; }

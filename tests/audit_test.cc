@@ -139,6 +139,23 @@ TEST(AuditMutationTest, CcacheDoubleMappedKeyIsAttributed) {
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
 
+TEST(AuditMutationTest, CcacheDirtyCursorPastDirtyEntryIsAttributed) {
+  Machine machine(SmallConfig(true));
+  machine.auditor().set_abort_on_violation(false);
+  Heap heap = machine.NewHeap(4 * kMiB);
+  Thrash(machine, heap, 1500);
+  EXPECT_EQ(machine.RunAudit(), 0u);
+
+  // The ring holds dirty entries after a write-heavy thrash; skipping the
+  // cleaner's cursor past them would strand them.
+  const uint64_t cursor = machine.ccache()->SkipDirtyCursorToTailForTest();
+  EXPECT_GT(machine.RunAudit(), 0u);
+  EXPECT_TRUE(HasViolation(machine.auditor(), "ccache", "dirty-cursor"));
+
+  machine.ccache()->RestoreDirtyCursorForTest(cursor);  // undo for shutdown audit
+  EXPECT_EQ(machine.RunAudit(), 0u);
+}
+
 TEST(AuditMutationTest, LeakedSwapBlocksAreAttributed) {
   MachineConfig config = SmallConfig(true);
   config.compressed_swap = CompressedSwapKind::kClustered;

@@ -8,6 +8,7 @@
 #include "compress/lzrw1.h"
 #include "compress/pagegen.h"
 #include "tests/test_util.h"
+#include "util/audit.h"
 #include "util/rng.h"
 
 namespace compcache {
@@ -524,7 +525,53 @@ TEST_F(SuperblockCcacheTest, InsertCompressedRoutesExistingKeysToOverwrite) {
   cache_->CheckInvariants();
 }
 
+TEST_F(SuperblockCcacheTest, InPlaceOverwriteBehindTheDirtyCursorIsCleaned) {
+  InvariantAuditor auditor;
+  auditor.set_abort_on_violation(false);
+  cache_->RegisterAuditChecks(&auditor);
+  for (uint32_t p = 0; p < 8; ++p) {
+    ASSERT_TRUE(
+        cache_->CompressAndInsert(PageKey{0, p}, MakePage(ContentClass::kRepetitiveText, p),
+                                  /*dirty=*/true));
+  }
+  // Flushing cleans every entry; its last, empty scan parks the cleaner's dirty
+  // cursor at the tail, past all eight entries.
+  cache_->FlushDirty();
+  const uint64_t cleaned = cache_->stats().entries_cleaned;
+  ASSERT_EQ(cleaned, 8u);
+  cache_->RunCleaner(/*pool_free_frames=*/0);
+  EXPECT_EQ(cache_->stats().entries_cleaned, cleaned);  // nothing dirty
+
+  // Re-dirty an entry near the head in place: it now lies behind the cursor.
+  const PageKey key{0, 2};
+  const auto page = MakePage(ContentClass::kRepetitiveText, 77);
+  const auto image = CompressWithCodec(page);
+  const auto before = cache_->EntryInfoFor(key);
+  cache_->OverwriteCompressed(key, image, static_cast<uint32_t>(page.size()), /*dirty=*/true);
+  ASSERT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
+  ASSERT_EQ(cache_->EntryInfoFor(key)->header_off, before->header_off);
+  ASSERT_TRUE(cache_->EntryInfoFor(key)->dirty);
+  ASSERT_FALSE(swap_.Contains(key));
+  EXPECT_EQ(auditor.RunAll(), 0u);
+  cache_->CheckInvariants();
+
+  // The next cleaner pass must find and write it.
+  events_.cleaned.clear();
+  cache_->RunCleaner(/*pool_free_frames=*/0);
+  EXPECT_EQ(cache_->stats().entries_cleaned, cleaned + 1);
+  EXPECT_EQ(events_.cleaned, std::vector<PageKey>{key});
+  EXPECT_FALSE(cache_->EntryInfoFor(key)->dirty);
+  EXPECT_TRUE(swap_.Contains(key));
+  std::vector<uint8_t> out(kPageSize);
+  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
+  EXPECT_EQ(out, page);
+  EXPECT_EQ(auditor.RunAll(), 0u);
+  cache_->CheckInvariants();
+}
+
 TEST_F(SuperblockCcacheTest, RandomOperationsKeepInvariantsWithPacking) {
+  InvariantAuditor auditor;
+  cache_->RegisterAuditChecks(&auditor);
   Rng rng(778);
   std::unordered_map<uint32_t, std::vector<uint8_t>> latest;
   for (int op = 0; op < 600; ++op) {
@@ -568,9 +615,11 @@ TEST_F(SuperblockCcacheTest, RandomOperationsKeepInvariantsWithPacking) {
     }
     if (op % 40 == 0) {
       cache_->CheckInvariants();
+      ASSERT_EQ(auditor.RunAll(), 0u) << "op " << op;
     }
   }
   cache_->CheckInvariants();
+  EXPECT_EQ(auditor.RunAll(), 0u);
 }
 
 }  // namespace

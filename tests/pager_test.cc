@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "compress/pagegen.h"
@@ -7,6 +8,7 @@
 #include "tests/test_util.h"
 #include "util/rng.h"
 #include "vm/heap.h"
+#include "vm/prefetcher.h"
 
 namespace compcache {
 namespace {
@@ -238,6 +240,161 @@ TEST(PagerLruTest, LruVictimIsOldest) {
   ASSERT_TRUE(machine.pager().ReleaseOldest());
   EXPECT_EQ(machine.pager().GetSegment(0)->page(1).state, PageState::kSwapped);
   EXPECT_EQ(machine.pager().GetSegment(0)->page(0).state, PageState::kResident);
+}
+
+// --- victim order under pinned and advised pages ---------------------------
+
+// The victim rule by a full scan of the LRU: the first page that is neither
+// pinned nor advise-pinned, else the first unpinned advised page, else none.
+const PageEntry* ReferenceVictim(Pager& pager) {
+  const PageEntry* advised_fallback = nullptr;
+  for (const PageKey key : pager.LruOrder()) {
+    const PageEntry& e = pager.GetSegment(key.segment)->page(key.page);
+    if (e.pinned) {
+      continue;
+    }
+    if (!e.advise_pinned) {
+      return &e;
+    }
+    if (advised_fallback == nullptr) {
+      advised_fallback = &e;
+    }
+  }
+  return advised_fallback;
+}
+
+// Runs ReleaseOldest and checks it evicted exactly the reference victim (or
+// refused when the reference finds none).
+void ExpectReleaseMatchesReference(Pager& pager) {
+  const PageEntry* expected = ReferenceVictim(pager);
+  const size_t resident = pager.resident_pages();
+  const bool released = pager.ReleaseOldest();
+  if (expected == nullptr) {
+    EXPECT_FALSE(released);
+    EXPECT_EQ(pager.resident_pages(), resident);
+    return;
+  }
+  ASSERT_TRUE(released);
+  EXPECT_EQ(pager.resident_pages(), resident - 1);
+  EXPECT_NE(expected->state, PageState::kResident) << "page " << expected->key.page;
+}
+
+TEST(PagerVictimTest, PinnedAndAdvisedFrontMatchesReferenceScan) {
+  Machine machine(SmallConfig(false));
+  constexpr uint32_t kPages = 48;
+  Heap heap = machine.NewHeap(kPages * kPageSize);
+  Segment& segment = *heap.segment();
+  Pager& pager = machine.pager();
+  for (uint32_t p = 0; p < kPages; ++p) {
+    heap.Store<uint32_t>(p * kPageSize, p);
+  }
+  Rng rng(2024);
+  size_t refusals = 0;
+  size_t advised_victims = 0;
+  for (int round = 0; round < 400; ++round) {
+    // Fault every page back in, then shuffle the LRU order a little.
+    for (uint32_t p = 0; p < kPages; ++p) {
+      if (segment.page(p).state != PageState::kResident) {
+        (void)heap.Load<uint32_t>(p * kPageSize);
+      }
+    }
+    for (int t = 0; t < 8; ++t) {
+      (void)heap.Load<uint32_t>(rng.Below(kPages) * kPageSize);
+    }
+    // Flag a prefix of the LRU order. Mode 0 leaves plain pages behind the
+    // prefix; modes 1-3 flag every page, forcing the advised fallback (1, 3)
+    // or, with every page pinned, a refusal (2).
+    const std::vector<PageKey> order = pager.LruOrder();
+    ASSERT_EQ(order.size(), kPages);
+    const int mode = round % 4;
+    const size_t flagged = mode == 0 ? rng.Below(kPages) : kPages;
+    for (size_t i = 0; i < flagged; ++i) {
+      PageEntry& e = segment.page(order[i].page);
+      const uint64_t kind = mode == 2 ? 0 : rng.Below(3);  // 0 pinned, 1 advised, 2 both
+      e.pinned = kind != 1;
+      pager.Advise(segment, order[i].page, 1, /*pin=*/kind != 0);
+    }
+    if (mode == 3) {
+      // At least one advised page stays unpinned, somewhere behind pinned ones.
+      PageEntry& e = segment.page(order[kPages / 2 + rng.Below(kPages / 2)].page);
+      e.pinned = false;
+      pager.Advise(segment, e.key.page, 1, /*pin=*/true);
+    }
+    const PageEntry* expected = ReferenceVictim(pager);
+    refusals += expected == nullptr;
+    advised_victims += expected != nullptr && expected->advise_pinned;
+    ExpectReleaseMatchesReference(pager);
+    // Unpin before anything can fault again.
+    for (uint32_t p = 0; p < kPages; ++p) {
+      segment.page(p).pinned = false;
+    }
+    pager.Advise(segment, 0, kPages, /*pin=*/false);
+  }
+  // Every branch of the rule was exercised.
+  EXPECT_GT(refusals, 0u);
+  EXPECT_GT(advised_victims, 0u);
+  EXPECT_GT(pager.stats().evictions, advised_victims);
+  pager.CheckInvariants();
+}
+
+// Runs the victim-order check from inside a fault: the prefetcher's OnFault
+// hook fires while the faulting page is resident, at the MRU end, and pinned.
+class EvictingPrefetcher : public PagePrefetcher {
+ public:
+  explicit EvictingPrefetcher(Pager* pager) : pager_(pager) {}
+
+  std::optional<FaultOrigin> TryFill(PageKey, std::span<uint8_t>) override { return std::nullopt; }
+  void OnFault(PageKey key, FaultOrigin) override {
+    if (!armed) {
+      return;
+    }
+    armed = false;
+    faulting_pinned = pager_->PeekEntry(key)->pinned;
+    while (ReferenceVictim(*pager_) != nullptr) {
+      ExpectReleaseMatchesReference(*pager_);
+      ++evicted;
+    }
+    ExpectReleaseMatchesReference(*pager_);  // only the pinned page is left: refuse
+    resident_at_refusal = pager_->resident_pages();
+  }
+  void Invalidate(PageKey) override {}
+
+  bool armed = false;
+  bool faulting_pinned = false;
+  size_t evicted = 0;
+  size_t resident_at_refusal = 0;
+
+ private:
+  Pager* pager_;
+};
+
+TEST(PagerVictimTest, NestedFaultFallsBackToAdvisedPagesThenRefuses) {
+  Machine machine(SmallConfig(true));
+  constexpr uint32_t kPages = 24;
+  Heap heap = machine.NewHeap(kPages * kPageSize);
+  Segment& segment = *heap.segment();
+  Pager& pager = machine.pager();
+  for (uint32_t p = 0; p + 1 < kPages; ++p) {
+    heap.Store<uint32_t>(p * kPageSize, p);
+  }
+  // Every resident page is advised, so each victim comes from the fallback.
+  pager.Advise(segment, 0, kPages - 1, /*pin=*/true);
+  EvictingPrefetcher prefetcher(&pager);
+  pager.SetPrefetcher(&prefetcher);
+  prefetcher.armed = true;
+  heap.Store<uint32_t>((kPages - 1) * kPageSize, 7);  // faults the last page in
+  pager.SetPrefetcher(nullptr);
+
+  EXPECT_TRUE(prefetcher.faulting_pinned);
+  EXPECT_EQ(prefetcher.evicted, kPages - 1);
+  EXPECT_EQ(prefetcher.resident_at_refusal, 1u);
+  EXPECT_EQ(segment.page(kPages - 1).state, PageState::kResident);
+  EXPECT_EQ(heap.Load<uint32_t>((kPages - 1) * kPageSize), 7u);
+  pager.Advise(segment, 0, kPages, /*pin=*/false);
+  for (uint32_t p = 0; p + 1 < kPages; ++p) {
+    EXPECT_EQ(heap.Load<uint32_t>(p * kPageSize), p);
+  }
+  pager.CheckInvariants();
 }
 
 }  // namespace

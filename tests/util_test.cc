@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "util/checksum.h"
 #include "util/intrusive_lru.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -225,6 +228,65 @@ TEST(LruListTest, ForEachVisitsInLruOrder) {
   std::vector<int> order;
   list.ForEach([&](const Node& n) { order.push_back(n.id); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(LruListTest, FindFirstStopsAtTheFirstMatch) {
+  LruList<Node> list;
+  Node nodes[5];
+  for (int i = 0; i < 5; ++i) {
+    nodes[i].id = i;
+    list.PushMru(nodes[i]);
+  }
+  std::vector<int> visited;
+  Node* hit = list.FindFirst([&](Node& n) {
+    visited.push_back(n.id);
+    return n.id >= 2;
+  });
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->id, 2);
+  EXPECT_EQ(visited, (std::vector<int>{0, 1, 2}));  // nothing past the match
+  EXPECT_EQ(list.FindFirst([](Node& n) { return n.id > 9; }), nullptr);
+  LruList<Node> empty;
+  EXPECT_EQ(empty.FindFirst([](Node&) { return true; }), nullptr);
+}
+
+// ---------- CRC-32C ----------
+
+// The textbook bytewise loop the sliced implementation must agree with.
+uint32_t BytewiseCrc32c(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  crc ^= 0xFFFFFFFFu;
+  return crc == 0 ? 1u : crc;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  const std::string check = "123456789";
+  const std::vector<uint8_t> bytes(check.begin(), check.end());
+  EXPECT_EQ(Crc32(bytes), 0xE3069283u);  // the CRC-32C check value
+  // The empty input's true CRC is 0, which is reserved for "absent".
+  EXPECT_EQ(Crc32({}), 1u);
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryOffsetAndLength) {
+  Rng rng(0xC2C);
+  std::vector<uint8_t> buf(4500 + 16);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Below(256));
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4500; len += (len < 64 ? 1 : 1 + rng.Below(61))) {
+      const auto span = std::span<const uint8_t>(buf).subspan(offset, len);
+      ASSERT_EQ(Crc32(span), BytewiseCrc32c(span)) << "offset " << offset << " len " << len;
+    }
+    const auto whole = std::span<const uint8_t>(buf).subspan(offset, 4500);
+    ASSERT_EQ(Crc32(whole), BytewiseCrc32c(whole)) << "offset " << offset << " len 4500";
+  }
 }
 
 // ---------- time types ----------
