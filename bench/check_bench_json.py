@@ -29,6 +29,9 @@ Schema (schema_version 1):
     perf_hotpath        must publish the full wall_clock metric set and its
                         zero-page fast path must actually be faster than the
                         codec path (wall_clock.zero_speedup_vs_codec > 1);
+                        decoding a page must be faster than encoding it, the
+                        paper's 2:1 property, as a same-run ratio
+                        (wall_clock.decode_speedup_vs_encode > 1);
                         per-fault host cost must stay flat as memory grows,
                         gated as a ratio within the same run:
                           wall_clock.us_per_fault_64mb
@@ -139,6 +142,8 @@ PERF_HOTPATH_METRICS = (
     "wall_clock.zero_pages_per_sec",
     "wall_clock.codec_pages_per_sec",
     "wall_clock.zero_speedup_vs_codec",
+    "wall_clock.decode_pages_per_sec",
+    "wall_clock.decode_speedup_vs_encode",
     "wall_clock.faults_per_sec",
     "wall_clock.us_per_fault_4mb",
     "wall_clock.us_per_fault_16mb",
@@ -512,6 +517,10 @@ def validate(path):
         if is_number(speedup) and speedup <= 1:
             err(f"perf_hotpath zero-page fast path must beat the codec path, "
                 f"got speedup {speedup}")
+        decode = metrics.get("wall_clock.decode_speedup_vs_encode")
+        if is_number(decode) and decode <= 1:
+            err(f"perf_hotpath decode must beat encode on the same page, "
+                f"got decode_speedup_vs_encode {decode}")
         small = metrics.get("wall_clock.us_per_fault_4mb")
         large = metrics.get("wall_clock.us_per_fault_64mb")
         if is_number(small) and is_number(large) and small > 0 and \

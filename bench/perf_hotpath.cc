@@ -7,13 +7,18 @@
 // bookkeeping, and the parallel sweep runner all claim real-time wins, and
 // this bench turns each claim into a number CI can check
 // (bench/check_bench_json.py requires every wall_clock.* metric to be
-// positive, zero_speedup_vs_codec to beat 1, and us_per_fault_64mb to stay
-// within 1.5x of us_per_fault_4mb).
+// positive, zero_speedup_vs_codec and decode_speedup_vs_encode to beat 1, and
+// us_per_fault_64mb to stay within 1.5x of us_per_fault_4mb).
 //
 // Reported metrics (all under "metrics" in the JSON report):
 //   wall_clock.zero_pages_per_sec    CompressPage on all-zero pages
 //   wall_clock.codec_pages_per_sec   CompressPage through the codec (text)
 //   wall_clock.zero_speedup_vs_codec ratio of the two
+//   wall_clock.decode_pages_per_sec  DecompressImage (the fault path's decode)
+//                                    of the text page's compressed image
+//   wall_clock.decode_speedup_vs_encode  decode over codec-path rate; the
+//                                    paper's decompression-faster-than-
+//                                    compression property
 //   wall_clock.faults_per_sec        end-to-end thrashing faults serviced
 //   wall_clock.us_per_fault_{4,16,64}mb  host time per fault of a thrasher at
 //                                    2x the working set on a 4/16/64 MB
@@ -59,6 +64,32 @@ double CompressRate(Machine& machine, std::span<const uint8_t> page, int iters) 
   for (int i = 0; i < iters; ++i) {
     ScratchArena::Scope scope(cc->arena());
     (void)cc->CompressPage(page);
+  }
+  return iters / SecondsSince(start);
+}
+
+// Wall-clock rate of DecompressImage, the fault path's decode, over `iters`
+// repetitions of `page`'s compressed image. Returns 0 if the image does not
+// decode, which the validator rejects.
+double DecompressRate(Machine& machine, std::span<const uint8_t> page, int iters) {
+  CompressionCache* cc = machine.ccache();
+  std::vector<uint8_t> image;
+  {
+    ScratchArena::Scope scope(cc->arena());
+    const CompressionCache::CompressOutcome outcome = cc->CompressPage(page);
+    image.assign(outcome.bytes.begin(), outcome.bytes.end());
+  }
+  std::vector<uint8_t> out(page.size());
+  for (int i = 0; i < 64; ++i) {
+    if (!cc->DecompressImage(image, out)) {
+      return 0;
+    }
+  }
+  const WallClock::time_point start = WallClock::now();
+  for (int i = 0; i < iters; ++i) {
+    if (!cc->DecompressImage(image, out)) {
+      return 0;
+    }
   }
   return iters / SecondsSince(start);
 }
@@ -120,11 +151,15 @@ int main(int argc, char** argv) {
   const double zero_rate = CompressRate(machine, zero_page, kZeroIters);
   const double codec_rate = CompressRate(machine, text_page, kCodecIters);
   const double zero_speedup = zero_rate / codec_rate;
+  const double decode_rate = DecompressRate(machine, text_page, kCodecIters);
+  const double decode_speedup = decode_rate / codec_rate;
   std::printf("compress throughput (one 4 KB page, %s codec):\n",
               machine.config().codec.c_str());
   std::printf("  zero-page fast path: %12.0f pages/s\n", zero_rate);
   std::printf("  codec path (text):   %12.0f pages/s\n", codec_rate);
-  std::printf("  zero-path speedup:   %12.2fx\n\n", zero_speedup);
+  std::printf("  zero-path speedup:   %12.2fx\n", zero_speedup);
+  std::printf("  decode (text):       %12.0f pages/s\n", decode_rate);
+  std::printf("  decode vs encode:    %12.2fx\n\n", decode_speedup);
 
   // --- end-to-end fault throughput under thrashing ---
   const WallClock::time_point fault_start = WallClock::now();
@@ -187,6 +222,8 @@ int main(int argc, char** argv) {
       .Set("zero_pages_per_sec", zero_rate)
       .Set("codec_pages_per_sec", codec_rate)
       .Set("zero_speedup_vs_codec", zero_speedup)
+      .Set("decode_pages_per_sec", decode_rate)
+      .Set("decode_speedup_vs_encode", decode_speedup)
       .Set("faults_per_sec", faults_per_sec)
       .Set("us_per_fault_4mb", us_per_fault_4mb)
       .Set("us_per_fault_16mb", us_per_fault_16mb)
@@ -197,6 +234,8 @@ int main(int argc, char** argv) {
       {"wall_clock.zero_pages_per_sec", zero_rate},
       {"wall_clock.codec_pages_per_sec", codec_rate},
       {"wall_clock.zero_speedup_vs_codec", zero_speedup},
+      {"wall_clock.decode_pages_per_sec", decode_rate},
+      {"wall_clock.decode_speedup_vs_encode", decode_speedup},
       {"wall_clock.faults_per_sec", faults_per_sec},
       {"wall_clock.us_per_fault_4mb", us_per_fault_4mb},
       {"wall_clock.us_per_fault_16mb", us_per_fault_16mb},

@@ -12,8 +12,16 @@
 //     length encoding lengths 3..18;
 //   * only one hash-table insertion is performed per item (not per byte), which is
 //     what makes the algorithm fast;
-//   * decompression needs no table at all, which is why it runs about twice as
-//     fast as compression (the 2:1 property quoted in the paper's Figure 1).
+//   * decompression needs no table at all, so it runs faster than compression.
+//     The paper's Figure 1 analysis assumes about 2:1. Here a 4 KB page decodes
+//     2.2x (sparse numeric) to 3.2x (text) faster than it encodes
+//     (bench/codec_throughput, Release, 4-vCPU 2.1 GHz Xeon VM), and
+//     bench/perf_hotpath gates decode faster than encode within one run.
+//
+// Both directions run a group-at-a-time fast path while a whole 16-item group
+// fits, then the bytewise loop for the tail. The output and every decode
+// verdict are byte-identical to the bytewise code alone (DESIGN.md §13,
+// "LZRW1 kernels"; pinned by compress_test's Lzrw1OracleTest).
 //
 // The hash table size is configurable because the paper (section 4.4) discusses the
 // memory/ratio trade-off: "This hash table can be relatively large (e.g., on the
@@ -43,8 +51,6 @@ class Lzrw1 : public Codec {
   size_t hash_table_bytes() const { return table_.size() * sizeof(uint32_t); }
 
  private:
-  uint32_t Hash(const uint8_t* p) const;
-
   unsigned hash_bits_;
   // Each entry packs (epoch << kPosBits) | (pos + 1). Tagging entries with the
   // call epoch lets the table persist across calls without a per-call memset

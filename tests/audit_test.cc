@@ -22,7 +22,7 @@ namespace {
 
 // Drives enough paging traffic that every subsystem has non-trivial state:
 // the ccache fills, the backing store takes batches, the arbiter reclaims.
-void Thrash(Machine& machine, Heap& heap, int ops, uint64_t seed = 7) {
+void Thrash(Heap& heap, int ops, uint64_t seed = 7) {
   Rng rng(seed);
   std::vector<uint8_t> page(kPageSize);
   for (int op = 0; op < ops; ++op) {
@@ -79,7 +79,7 @@ TEST(AuditTest, HealthyMachineAuditsCleanUnderLoad) {
     config.audit_interval = 16;  // audit every 16 faults while thrashing
     Machine machine(config);
     Heap heap = machine.NewHeap(4 * kMiB);
-    Thrash(machine, heap, 1500);
+    Thrash(heap, 1500);
     EXPECT_GT(machine.auditor().runs(), 0u);
     EXPECT_EQ(machine.auditor().total_violations(), 0u);
     EXPECT_EQ(machine.RunAudit(), 0u);
@@ -91,7 +91,7 @@ TEST(AuditTest, StdModeAuditsClean) {
   config.audit_interval = 16;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 800);
+  Thrash(heap, 800);
   EXPECT_GT(machine.auditor().runs(), 0u);
   EXPECT_EQ(machine.auditor().total_violations(), 0u);
 }
@@ -102,7 +102,7 @@ TEST(AuditMutationTest, CcacheOccupancyCorruptionIsAttributed) {
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 1500);
+  Thrash(heap, 1500);
   ASSERT_GT(machine.ccache()->live_entries(), 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);
 
@@ -118,7 +118,7 @@ TEST(AuditMutationTest, CcacheDoubleMappedKeyIsAttributed) {
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 1500);
+  Thrash(heap, 1500);
 
   // Find any VM page whose compressed copy is live in the cache.
   Segment* segment = heap.segment();
@@ -143,7 +143,7 @@ TEST(AuditMutationTest, CcacheDirtyCursorPastDirtyEntryIsAttributed) {
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 1500);
+  Thrash(heap, 1500);
   EXPECT_EQ(machine.RunAudit(), 0u);
 
   // The ring holds dirty entries after a write-heavy thrash; skipping the
@@ -162,7 +162,7 @@ TEST(AuditMutationTest, LeakedSwapBlocksAreAttributed) {
   Machine machine(config);
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(3 * kMiB);
-  Thrash(machine, heap, 400);
+  Thrash(heap, 400);
   EXPECT_EQ(machine.RunAudit(), 0u);
 
   machine.clustered_swap()->LeakBlocksForTest(4);
@@ -176,7 +176,7 @@ TEST(AuditMutationTest, UnaccountedFrameIsAttributed) {
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(3 * kMiB);
-  Thrash(machine, heap, 200);
+  Thrash(heap, 200);
   EXPECT_EQ(machine.RunAudit(), 0u);
 
   const FrameId held = machine.AllocateFrame();  // a frame no subsystem owns
@@ -191,7 +191,7 @@ TEST(AuditMutationTest, PiecemealStatResetTripsMonotonicityCheck) {
   Machine machine(SmallConfig(true));
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(3 * kMiB);
-  Thrash(machine, heap, 300);
+  Thrash(heap, 300);
   ASSERT_GT(machine.pager().stats().faults, 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);  // baselines the counter watermarks
 
@@ -396,7 +396,7 @@ TEST(AuditTest, BufferCacheAgesAreVirtualTimeNanoseconds) {
   Machine machine(SmallConfig(true));
   // Burn some virtual time first so ticks and nanoseconds are far apart.
   Heap heap = machine.NewHeap(1 * kMiB);
-  Thrash(machine, heap, 100);
+  Thrash(heap, 100);
   const int64_t before_io = machine.clock().Now().nanos();
   ASSERT_GT(before_io, 1'000'000);  // far more nanoseconds than ticks elapsed
 
@@ -416,7 +416,7 @@ TEST(AuditTest, TeardownSegmentReturnsFramesAndSwapBlocks) {
   config.compressed_swap = CompressedSwapKind::kClustered;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 1200);
+  Thrash(heap, 1200);
 
   // Precondition: the segment actually has state in every tier.
   EXPECT_GT(machine.pager().resident_pages(), 0u);
@@ -442,7 +442,7 @@ TEST(AuditTest, TeardownSegmentReturnsFramesAndSwapBlocks) {
 TEST(AuditTest, TeardownSegmentStdMode) {
   Machine machine(SmallConfig(false));
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 800);
+  Thrash(heap, 800);
   ASSERT_GT(machine.pager().stats().evictions_std_write, 0u);
 
   machine.pager().TeardownSegment(*heap.segment());
@@ -470,7 +470,7 @@ TEST(AuditTest, TeardownOfAbortedSegmentRecoversItsBlocks) {
   Machine machine(config);
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 2000);
+  Thrash(heap, 2000);
   ASSERT_GT(machine.pager().stats().pages_lost, 0u);
   ASSERT_TRUE(heap.segment()->aborted());
   EXPECT_EQ(machine.RunAudit(), 0u);
@@ -498,7 +498,7 @@ TEST(AuditTest, FailedWriteBatchLeavesNoOrphanedBackendPages) {
   Machine machine(config);
   machine.auditor().set_abort_on_violation(false);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 2000);
+  Thrash(heap, 2000);
   // Precondition: batches really did fail mid-flight.
   ASSERT_GT(machine.ccache()->stats().write_batch_failures, 0u);
   EXPECT_EQ(machine.auditor().total_violations(), 0u);
@@ -515,7 +515,7 @@ TEST(AuditTest, ResetStatsZeroesEveryCounterMetricInTheRegistry) {
     }
     Machine machine(config);
     Heap heap = machine.NewHeap(4 * kMiB);
-    Thrash(machine, heap, 600);
+    Thrash(heap, 600);
 
     // The sweep is registry-driven: no hand-maintained metric list, so a newly
     // added subsystem counter is covered the day it is registered.
@@ -547,7 +547,7 @@ TEST(AuditTest, ResetStatsZeroesEveryCounterMetricInTheRegistry) {
 
     // The machine keeps working and the audit (including the monotonicity
     // check, re-baselined by the reset) stays clean.
-    Thrash(machine, heap, 200, /*seed=*/8);
+    Thrash(heap, 200, /*seed=*/8);
     EXPECT_GT(machine.pager().stats().accesses, 0u);
     EXPECT_EQ(machine.RunAudit(), 0u);
   }
@@ -568,7 +568,7 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
   config.pipeline.fault_batch_window = 2;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 800);
+  Thrash(heap, 800);
   // Quiesce in-flight batches and the prefetch buffer so the conservation
   // rules (issued == hits + misses, inflight == 0) hold over the counters the
   // sweep reads.
@@ -596,7 +596,7 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
   }
 
   // Still a working, auditable machine after the reset.
-  Thrash(machine, heap, 200, /*seed=*/9);
+  Thrash(heap, 200, /*seed=*/9);
   machine.DrainPipeline();
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
@@ -621,7 +621,7 @@ TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
   config.ccache_max_frames = 128;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);
-  Thrash(machine, heap, 2000);
+  Thrash(heap, 2000);
 
   const auto& names = machine.metrics().counter_gauge_names();
   for (const char* name :
@@ -650,7 +650,7 @@ TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
 
   // Still a working machine whose tier conservation audits (re-baselined by
   // the reset) stay clean.
-  Thrash(machine, heap, 200, /*seed=*/10);
+  Thrash(heap, 200, /*seed=*/10);
   EXPECT_GT(machine.pager().stats().accesses, 0u);
   EXPECT_EQ(machine.RunAudit(), 0u);
 }
@@ -658,7 +658,7 @@ TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
 TEST(AuditTest, ResetStatsPreservesStateGauges) {
   Machine machine(SmallConfig(true));
   Heap heap = machine.NewHeap(3 * kMiB);
-  Thrash(machine, heap, 500);
+  Thrash(heap, 500);
   const double resident = machine.metrics().GaugeValue("vm.resident_pages");
   const double mapped = machine.metrics().GaugeValue("ccache.frames_mapped");
   const double now = machine.metrics().GaugeValue("clock.now_ns");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -538,6 +539,34 @@ int FuzzRounds() {
   return rounds > 0 ? rounds : 200;
 }
 
+// One fuzz mutation of a valid image: bit flips, truncation, trailing
+// garbage, or pure garbage.
+std::vector<uint8_t> MutateImage(const std::vector<uint8_t>& image, Rng& rng) {
+  std::vector<uint8_t> mutated = image;
+  const double kind = rng.NextDouble();
+  if (kind < 0.4) {
+    // Flip 1-16 bits anywhere, including the container byte.
+    const uint64_t flips = 1 + rng.Below(16);
+    for (uint64_t i = 0; i < flips && !mutated.empty(); ++i) {
+      const uint64_t bit = rng.Below(mutated.size() * 8);
+      mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  } else if (kind < 0.6) {
+    mutated.resize(rng.Below(mutated.size() + 1));  // truncate, possibly to empty
+  } else if (kind < 0.8) {
+    const uint64_t extra = 1 + rng.Below(64);  // trailing garbage
+    for (uint64_t i = 0; i < extra; ++i) {
+      mutated.push_back(static_cast<uint8_t>(rng.Next()));
+    }
+  } else {
+    mutated.resize(1 + rng.Below(2 * kPageSize));  // pure garbage
+    for (auto& b : mutated) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+  }
+  return mutated;
+}
+
 TEST_P(CodecFuzzTest, MutatedImagesNeverCrashDecoder) {
   auto codec = MakeCodec(GetParam());
   Rng rng(0xC0DECu);
@@ -552,29 +581,7 @@ TEST_P(CodecFuzzTest, MutatedImagesNeverCrashDecoder) {
     std::vector<uint8_t> compressed(codec->MaxCompressedSize(page.size()));
     compressed.resize(codec->Compress(page, compressed));
 
-    std::vector<uint8_t> mutated = compressed;
-    const double kind = rng.NextDouble();
-    if (kind < 0.4) {
-      // Flip 1-16 bits anywhere, including the container byte.
-      const uint64_t flips = 1 + rng.Below(16);
-      for (uint64_t i = 0; i < flips && !mutated.empty(); ++i) {
-        const uint64_t bit = rng.Below(mutated.size() * 8);
-        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      }
-    } else if (kind < 0.6) {
-      mutated.resize(rng.Below(mutated.size() + 1));  // truncate, possibly to empty
-    } else if (kind < 0.8) {
-      const uint64_t extra = 1 + rng.Below(64);  // trailing garbage
-      for (uint64_t i = 0; i < extra; ++i) {
-        mutated.push_back(static_cast<uint8_t>(rng.Next()));
-      }
-    } else {
-      mutated.resize(1 + rng.Below(2 * kPageSize));  // pure garbage
-      for (auto& b : mutated) {
-        b = static_cast<uint8_t>(rng.Next());
-      }
-    }
-
+    const std::vector<uint8_t> mutated = MutateImage(compressed, rng);
     std::fill(out.begin(), out.end(), 0xEE);
     (void)codec->TryDecompress(mutated, out);  // may fail; must not crash
 
@@ -620,6 +627,372 @@ TEST(AdaptiveWrapperTruncation, EveryShortImageFailsClosed) {
     }
   }
   EXPECT_GT(wrapped_images, 0) << "no content class produced a wrapped image";
+}
+
+// ---------- LZRW1 byte-exact oracle ----------
+
+// The bytewise LZRW1 encoder and decoder as they stood before the fast-path
+// kernels, kept verbatim as the oracle: Lzrw1::Compress must produce the same
+// image on every input, and LzrwTryDecode must give the same verdict on every
+// input (and, when it accepts, the same output bytes).
+class RefLzrw1 {
+ public:
+  explicit RefLzrw1(unsigned hash_bits) : hash_bits_(hash_bits) {
+    table_.assign(size_t{1} << hash_bits_, 0);
+  }
+
+  static size_t MaxCompressedSize(size_t n) { return 1 + n + 2 * ((n + 15) / 16); }
+
+  size_t Compress(std::span<const uint8_t> src, std::span<uint8_t> dst) {
+    const size_t n = src.size();
+    if (n == 0) {
+      dst[0] = kContainerRaw;
+      return 1;
+    }
+    if (n > kPosMask - 1 || epoch_ == kMaxEpoch) {
+      std::memset(table_.data(), 0, table_.size() * sizeof(uint32_t));
+      epoch_ = 0;
+    } else {
+      ++epoch_;
+    }
+    const uint32_t epoch_tag = epoch_ << kPosBits;
+
+    uint8_t* const out_begin = dst.data();
+    uint8_t* out = out_begin + 1;
+    const uint8_t* const in = src.data();
+
+    size_t pos = 0;
+    while (pos < n) {
+      uint8_t* const control_at = out;
+      out += 2;
+      uint16_t control = 0;
+
+      for (size_t item = 0; item < 16 && pos < n; ++item) {
+        bool emitted_copy = false;
+        if (pos + kLzrwMinMatch <= n) {
+          const uint32_t h = Hash(in + pos);
+          const uint32_t entry = table_[h];
+          const uint32_t prev_plus1 = (entry & ~kPosMask) == epoch_tag ? (entry & kPosMask) : 0;
+          table_[h] = epoch_tag | (static_cast<uint32_t>(pos) + 1);
+          if (prev_plus1 != 0) {
+            const size_t prev = prev_plus1 - 1;
+            const size_t offset = pos - prev;
+            if (offset >= 1 && offset <= kLzrwMaxOffset && in[prev] == in[pos] &&
+                in[prev + 1] == in[pos + 1] && in[prev + 2] == in[pos + 2]) {
+              size_t len = kLzrwMinMatch;
+              const size_t max_len = std::min<size_t>(kLzrwMaxMatch, n - pos);
+              while (len < max_len && in[prev + len] == in[pos + len]) {
+                ++len;
+              }
+              control |= static_cast<uint16_t>(1u << item);
+              *out++ = static_cast<uint8_t>(((offset >> 4) & 0xF0u) | (len - kLzrwMinMatch));
+              *out++ = static_cast<uint8_t>(offset & 0xFFu);
+              pos += len;
+              emitted_copy = true;
+            }
+          }
+        }
+        if (!emitted_copy) {
+          *out++ = in[pos];
+          ++pos;
+        }
+      }
+
+      control_at[0] = static_cast<uint8_t>(control & 0xFFu);
+      control_at[1] = static_cast<uint8_t>(control >> 8);
+    }
+
+    const size_t compressed_size = static_cast<size_t>(out - out_begin);
+    if (compressed_size >= n + 1) {
+      dst[0] = kContainerRaw;
+      std::memcpy(dst.data() + 1, in, n);
+      return n + 1;
+    }
+    dst[0] = kContainerCompressed;
+    return compressed_size;
+  }
+
+ private:
+  uint32_t Hash(const uint8_t* p) const {
+    const uint32_t key =
+        (static_cast<uint32_t>(p[0]) << 16) | (static_cast<uint32_t>(p[1]) << 8) | p[2];
+    return (key * 40543u) >> (24 - hash_bits_) & ((1u << hash_bits_) - 1);
+  }
+
+  static constexpr uint32_t kPosBits = 20;
+  static constexpr uint32_t kPosMask = (1u << kPosBits) - 1;
+  static constexpr uint32_t kMaxEpoch = (1u << (32 - kPosBits)) - 1;
+  unsigned hash_bits_;
+  std::vector<uint32_t> table_;
+  uint32_t epoch_ = 0;
+};
+
+bool RefLzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
+  if (src.empty()) {
+    return false;
+  }
+  if (IsZeroPageMarker(src)) {
+    if (!dst.empty()) {
+      std::memset(dst.data(), 0, dst.size());
+    }
+    return true;
+  }
+  const size_t n = dst.size();
+  const uint8_t* in = src.data() + 1;
+  const uint8_t* const in_end = src.data() + src.size();
+
+  if (src[0] == kContainerRaw) {
+    if (src.size() != n + 1) {
+      return false;
+    }
+    if (n > 0) {
+      std::memcpy(dst.data(), in, n);
+    }
+    return true;
+  }
+  if (src[0] != kContainerCompressed) {
+    return false;
+  }
+
+  uint8_t* out = dst.data();
+  uint8_t* const out_end = out + n;
+  while (out < out_end) {
+    if (in + 2 > in_end) {
+      return false;
+    }
+    const uint16_t control = static_cast<uint16_t>(in[0] | (in[1] << 8));
+    in += 2;
+    for (size_t item = 0; item < 16 && out < out_end; ++item) {
+      if (control & (1u << item)) {
+        if (in + 2 > in_end) {
+          return false;
+        }
+        const uint32_t b0 = *in++;
+        const uint32_t b1 = *in++;
+        const size_t offset = ((b0 & 0xF0u) << 4) | b1;
+        const size_t len = (b0 & 0x0Fu) + kLzrwMinMatch;
+        if (offset < 1 || out - dst.data() < static_cast<ptrdiff_t>(offset) ||
+            out + len > out_end) {
+          return false;
+        }
+        const uint8_t* from = out - offset;
+        for (size_t i = 0; i < len; ++i) {
+          *out++ = *from++;
+        }
+      } else {
+        if (in >= in_end) {
+          return false;
+        }
+        *out++ = *in++;
+      }
+    }
+  }
+  return in == in_end;
+}
+
+std::vector<uint8_t> CompressWith(Lzrw1& codec, std::span<const uint8_t> input) {
+  std::vector<uint8_t> image(codec.MaxCompressedSize(input.size()));
+  image.resize(codec.Compress(input, image));
+  return image;
+}
+
+std::vector<uint8_t> CompressWith(RefLzrw1& ref, std::span<const uint8_t> input) {
+  std::vector<uint8_t> image(RefLzrw1::MaxCompressedSize(input.size()));
+  image.resize(ref.Compress(input, image));
+  return image;
+}
+
+// Decodes `image` into an `out_size`-byte buffer with both decoders and
+// checks they agree: same verdict, and the same bytes whenever they accept
+// (dst is unspecified on rejection). Returns the verdict. The image is copied
+// into a buffer of exactly its size, so under ASan a read past its end is
+// caught rather than landing in the caller's larger buffer. Callers name the
+// case with SCOPED_TRACE.
+bool ExpectSameDecode(std::span<const uint8_t> image, size_t out_size) {
+  const std::vector<uint8_t> exact(image.begin(), image.end());
+  std::vector<uint8_t> fast(out_size, 0xEE);
+  std::vector<uint8_t> ref(out_size, 0xEE);
+  const bool fast_ok = LzrwTryDecode(exact, fast);
+  const bool ref_ok = RefLzrwTryDecode(exact, ref);
+  EXPECT_EQ(fast_ok, ref_ok);
+  if (fast_ok && ref_ok) {
+    EXPECT_EQ(fast, ref);
+  }
+  return ref_ok;
+}
+
+// Compresses `input` with the codec under test and the oracle, expects
+// identical images, and checks both decoders round-trip the image. The input
+// is copied to an exactly-sized buffer for the same reason as above.
+void ExpectSameImage(Lzrw1& codec, RefLzrw1& ref, std::span<const uint8_t> input) {
+  const std::vector<uint8_t> exact(input.begin(), input.end());
+  const std::vector<uint8_t> image = CompressWith(codec, exact);
+  ASSERT_EQ(image, CompressWith(ref, input));
+  std::vector<uint8_t> out(input.size(), 0xEE);
+  ASSERT_TRUE(LzrwTryDecode(image, out));
+  ASSERT_TRUE(std::equal(out.begin(), out.end(), input.begin(), input.end()));
+  ASSERT_TRUE(ExpectSameDecode(image, input.size()));
+}
+
+// Two pages of each content class, plus short-period patterns so that copies
+// with offsets below 8 (the decoder's byte-wise case) occur.
+std::vector<std::vector<uint8_t>> OracleSources(Rng& rng) {
+  std::vector<std::vector<uint8_t>> sources;
+  for (const ContentClass content : AllContentClasses()) {
+    std::vector<uint8_t> page(2 * kPageSize + 8);
+    FillPage(std::span<uint8_t>(page).first(kPageSize), content, rng);
+    FillPage(std::span<uint8_t>(page).subspan(kPageSize, kPageSize), content, rng);
+    sources.push_back(std::move(page));
+  }
+  for (const size_t period : {2, 3, 5, 7}) {
+    std::vector<uint8_t> page(2 * kPageSize + 8);
+    for (size_t i = 0; i < page.size(); ++i) {
+      page[i] = static_cast<uint8_t>(i % period == 0 ? rng.Below(4) : i % period);
+    }
+    sources.push_back(std::move(page));
+  }
+  return sources;
+}
+
+TEST(Lzrw1OracleTest, ContentClassesAtEveryHashSize) {
+  for (const unsigned hash_bits : {8u, 12u, 16u, 22u}) {
+    SCOPED_TRACE(::testing::Message() << "hash_bits " << hash_bits);
+    Lzrw1 codec(hash_bits);
+    RefLzrw1 ref(hash_bits);
+    Rng rng(0x0AC1Eu + hash_bits);
+    std::vector<uint8_t> page(kPageSize);
+    for (const ContentClass content : AllContentClasses()) {
+      for (int round = 0; round < 8; ++round) {
+        SCOPED_TRACE(::testing::Message() << ContentClassName(content) << " round " << round);
+        FillPage(page, content, rng);
+        ExpectSameImage(codec, ref, page);
+      }
+    }
+  }
+}
+
+// The encoder's fast groups run while 16 * 18 + 24 input bytes remain and the
+// decoder's while 34 input / 16 * 18 output bytes remain; every length up to 700,
+// plus lengths on both sides of a few later group boundaries, puts that
+// switch-over at every position relative to a group.
+TEST(Lzrw1OracleTest, EveryLengthAcrossTheFastTailBoundary) {
+  Rng rng(0x1E9C7u);
+  const std::vector<std::vector<uint8_t>> sources = OracleSources(rng);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 700; ++len) {
+    lengths.push_back(len);
+  }
+  for (const size_t base : {1024, 2048, 3786, 4096, 4410, 8192}) {
+    lengths.insert(lengths.end(), {base - 3, base - 1, base, base + 1});
+  }
+  for (size_t s = 0; s < sources.size(); ++s) {
+    Lzrw1 codec;
+    RefLzrw1 ref(12);
+    for (const size_t len : lengths) {
+      SCOPED_TRACE(::testing::Message() << "source " << s << " length " << len);
+      ExpectSameImage(codec, ref, std::span<const uint8_t>(sources[s]).first(len));
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Thousands of calls on one codec object cross the epoch-tag wrap (every
+// 4095 calls) with stale entries from earlier inputs still in the table; the
+// images must match both a long-lived oracle and a fresh-table oracle.
+TEST(Lzrw1OracleTest, LongLivedCodecMatchesFreshTable) {
+  Rng rng(0xE90C5u);
+  const std::vector<std::vector<uint8_t>> sources = OracleSources(rng);
+  Lzrw1 codec;
+  RefLzrw1 long_lived(12);
+  for (int call = 0; call < 5000; ++call) {
+    const std::vector<uint8_t>& source = sources[rng.Below(sources.size())];
+    const size_t start = rng.Below(kPageSize);
+    const size_t len = 1 + rng.Below(kPageSize);
+    const std::vector<uint8_t> input(source.begin() + start, source.begin() + start + len);
+    const std::vector<uint8_t> image = CompressWith(codec, input);
+    ASSERT_EQ(image, CompressWith(long_lived, input)) << "call " << call;
+    RefLzrw1 fresh(12);
+    ASSERT_EQ(image, CompressWith(fresh, input)) << "call " << call;
+  }
+}
+
+// Inputs past 2^20 - 1 bytes do not fit the packed position field: the table
+// is cleared on every call and positions past the field never match.
+TEST(Lzrw1OracleTest, InputsPastThePackedPositionField) {
+  Rng rng(0xB16u);
+  const std::vector<std::vector<uint8_t>> sources = OracleSources(rng);
+  std::vector<uint8_t> big;
+  while (big.size() < (size_t{1} << 20) + 2 * kPageSize) {
+    const std::vector<uint8_t>& source = sources[rng.Below(sources.size())];
+    big.insert(big.end(), source.begin(), source.begin() + kPageSize);
+  }
+  Lzrw1 codec;
+  RefLzrw1 ref(12);
+  for (const size_t len : {(size_t{1} << 20) - 2, (size_t{1} << 20) + 4097, big.size()}) {
+    SCOPED_TRACE(::testing::Message() << "length " << len);
+    ExpectSameImage(codec, ref, std::span<const uint8_t>(big).first(len));
+    // A page-sized call after the big one reuses the table.
+    ExpectSameImage(codec, ref, std::span<const uint8_t>(big).first(kPageSize));
+  }
+}
+
+TEST(Lzrw1OracleTest, MutatedImagesGetTheSameVerdict) {
+  Lzrw1 codec;
+  Rng rng(0xC0DE5u);
+  std::vector<uint8_t> page(kPageSize);
+  int accepted = 0;
+  int rejected = 0;
+  const int rounds = 10 * FuzzRounds();
+  for (int round = 0; round < rounds; ++round) {
+    const ContentClass content = AllContentClasses()[rng.Below(AllContentClasses().size())];
+    FillPage(page, content, rng);
+    const std::vector<uint8_t> mutated = MutateImage(CompressWith(codec, page), rng);
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ++(ExpectSameDecode(mutated, page.size()) ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Lzrw1OracleTest, EveryTruncationGetsTheSameVerdict) {
+  Lzrw1 codec;
+  Rng rng(0x7A0C8u);
+  std::vector<uint8_t> page(kPageSize);
+  for (const ContentClass content : AllContentClasses()) {
+    SCOPED_TRACE(ContentClassName(content));
+    FillPage(page, content, rng);
+    const std::vector<uint8_t> image = CompressWith(codec, page);
+    for (size_t len = 0; len <= image.size(); ++len) {
+      SCOPED_TRACE(::testing::Message() << "prefix " << len);
+      const std::span<const uint8_t> prefix = std::span<const uint8_t>(image).first(len);
+      EXPECT_EQ(ExpectSameDecode(prefix, page.size()), len == image.size());
+    }
+    // A wrong output size must be rejected the same way too.
+    for (const size_t out_size : {kPageSize - 1, kPageSize + 1, kPageSize + 300}) {
+      SCOPED_TRACE(::testing::Message() << "out_size " << out_size);
+      ExpectSameDecode(image, out_size);
+    }
+  }
+}
+
+TEST(Lzrw1OracleTest, Lzrw1aImagesDecodeIdentically) {
+  Lzrw1a codec;
+  Rng rng(0x1A1Au);
+  const std::vector<std::vector<uint8_t>> sources = OracleSources(rng);
+  for (size_t s = 0; s < sources.size(); ++s) {
+    for (const size_t len : {1, 17, 311, 313, 700, 4096, 8192}) {
+      SCOPED_TRACE(::testing::Message() << "source " << s << " length " << len);
+      const std::span<const uint8_t> input = std::span<const uint8_t>(sources[s]).first(len);
+      std::vector<uint8_t> image(codec.MaxCompressedSize(len));
+      image.resize(codec.Compress(input, image));
+      ASSERT_TRUE(ExpectSameDecode(image, len));
+      std::vector<uint8_t> out(len);
+      ASSERT_TRUE(LzrwTryDecode(image, out));
+      ASSERT_TRUE(std::equal(out.begin(), out.end(), input.begin(), input.end()));
+    }
+  }
 }
 
 }  // namespace

@@ -161,7 +161,7 @@ MachineConfig NeutralConfig(bool use_cc, uint64_t memory_bytes) {
   return config;
 }
 
-void RunWorkload(Machine& machine, Heap& heap) {
+void RunWorkload(Heap& heap) {
   Rng rng(42);
   std::vector<uint8_t> page(kPageSize);
   for (int op = 0; op < 2500; ++op) {
@@ -202,7 +202,7 @@ MachineRun RunOne(const std::string& name, bool use_cc, CompressedSwapKind kind,
   Machine machine(config);
 
   Heap heap = machine.NewHeap(3 * kMiB);
-  RunWorkload(machine, heap);
+  RunWorkload(heap);
 
   MachineRun run;
   run.name = name;
