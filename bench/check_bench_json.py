@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Validate bench --json output against the schema documented in DESIGN.md.
 
-Usage: check_bench_json.py FILE [FILE...]
+Usage: check_bench_json.py [--baseline=PATH ...] FILE [FILE...]
 
 Exits non-zero (listing every violation) if any file fails. Intended for CI
 (the bench-smoke job) and for local use after editing a bench.
+
+--baseline=PATH pins a bench's output to a committed report (repeatable;
+bench/baselines/ holds them). Every FILE whose "bench" equals the baseline's
+must carry exactly the baseline's config, results and metrics, and at least
+one FILE must be that bench. Pin only reports without host-time fields: the
+comparison is exact, so a baseline of virtual-time output fails on any
+change to what the simulator computes, not on machine speed.
 
 Schema (schema_version 1):
   top level: object with exactly the keys
@@ -532,20 +539,76 @@ def validate(path):
     return errors
 
 
+BASELINE_KEYS = ("config", "results", "metrics")
+
+
+def describe_difference(key, got, want):
+    if key == "metrics" and isinstance(got, dict) and isinstance(want, dict):
+        names = sorted(n for n in got.keys() | want.keys() if got.get(n) != want.get(n))
+        shown = ", ".join(f"{n}: {got.get(n)!r} (baseline {want.get(n)!r})"
+                          for n in names[:5])
+        more = f" and {len(names) - 5} more" if len(names) > 5 else ""
+        return f"{len(names)} metrics differ: {shown}{more}"
+    if key == "results" and isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return f"{len(got)} rows, baseline has {len(want)}"
+        rows = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        return f"rows {rows[:10]} differ; first: {got[rows[0]]} (baseline {want[rows[0]]})"
+    return f"{got!r} (baseline {want!r})"
+
+
+def load_report(path):
+    """The parsed top-level object, or None when there is none to compare."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def check_baseline(baseline_path, reports):
+    """Compares every report of the baseline's bench with the baseline."""
+    baseline = load_report(baseline_path)
+    bench = baseline.get("bench") if baseline is not None else None
+    if not isinstance(bench, str) or not bench:
+        return [f'{baseline_path}: unreadable baseline, or one without a "bench" name']
+    matched = [(path, doc) for path, doc in reports if doc.get("bench") == bench]
+    if not matched:
+        return [f"{baseline_path}: no report of bench {bench!r} to compare"]
+    errors = []
+    for path, doc in matched:
+        for key in BASELINE_KEYS:
+            if doc.get(key) != baseline.get(key):
+                errors.append(f"{path}: {key} differs from baseline {baseline_path}: "
+                              + describe_difference(key, doc.get(key), baseline.get(key)))
+    return errors
+
+
 def main(argv):
-    if len(argv) < 2:
+    baselines = [a[len("--baseline="):] for a in argv[1:] if a.startswith("--baseline=")]
+    paths = [a for a in argv[1:] if not a.startswith("--baseline=")]
+    if not paths or any(not b for b in baselines):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     all_errors = []
-    for path in argv[1:]:
+    reports = []
+    for path in paths:
         errs = validate(path)
         if errs:
             all_errors.extend(errs)
-        else:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
+        doc = load_report(path)
+        if doc is not None:
+            reports.append((path, doc))
+        if not errs:
             print(f"OK {path}: bench={doc['bench']} "
                   f"results={len(doc['results'])} metrics={len(doc['metrics'])}")
+    for baseline_path in baselines:
+        errs = check_baseline(baseline_path, reports)
+        if errs:
+            all_errors.extend(errs)
+        else:
+            print(f"OK {baseline_path}: matches the baseline exactly")
     for e in all_errors:
         print(f"FAIL {e}", file=sys.stderr)
     return 1 if all_errors else 0

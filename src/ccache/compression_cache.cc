@@ -665,46 +665,45 @@ bool CompressionCache::DecompressImage(std::span<const uint8_t> compressed,
   return true;
 }
 
-CcacheFaultResult CompressionCache::PrefetchIn(PageKey key, std::span<uint8_t> out,
-                                               SimDuration* cost) {
+std::optional<uint32_t> CompressionCache::StageImage(PageKey key, std::span<uint8_t> out,
+                                                     SimDuration* cost) {
   CC_EXPECTS(cost != nullptr);
   Entry* e = Find(key);
   if (e == nullptr) {
-    return CcacheFaultResult::kMiss;
+    return std::nullopt;
   }
   CC_EXPECTS(out.size() == e->original_size);
   if (e->zero_page) {
-    std::memset(out.data(), 0, out.size());
     *cost += costs_->ZeroScanCost(out.size());
-    return CcacheFaultResult::kHit;
+    return 0;
   }
-  ScratchArena::Scope scope(*arena_);
-  std::span<uint8_t> buf = arena_->Alloc(e->payload_size);
-  CopyOut(e->payload_off(), buf);
-  if (options_.verify_on_fault_in && e->checksum != 0 && Crc32(buf) != e->checksum) {
-    return CcacheFaultResult::kCorrupt;
-  }
-  if (!codec_->TryDecompress(buf, out)) {
-    return CcacheFaultResult::kCorrupt;
+  // Kept payloads meet the threshold, so they are never larger than the page.
+  CC_ASSERT(e->payload_size <= out.size());
+  const std::span<uint8_t> image = out.first(e->payload_size);
+  CopyOut(e->payload_off(), image);
+  if (options_.verify_on_fault_in && e->checksum != 0) {
+    if (Crc32(image) != e->checksum) {
+      return std::nullopt;
+    }
+  } else {
+    // Nothing vouches for the image: decode it once now, so a corrupt source
+    // stays out of the buffer exactly as an eager decode would keep it out.
+    ScratchArena::Scope scope(*arena_);
+    if (!codec_->TryDecompress(image, arena_->Alloc(out.size()))) {
+      return std::nullopt;
+    }
   }
   *cost += costs_->DecompressCost(out.size());
-  return CcacheFaultResult::kHit;
+  return e->payload_size;
 }
 
-bool CompressionCache::DecompressImageDeferred(std::span<const uint8_t> compressed,
-                                               std::span<uint8_t> out,
-                                               SimDuration* cost) {
-  CC_EXPECTS(cost != nullptr);
-  if (IsZeroPageMarker(compressed)) {
+void CompressionCache::DecodeStagedImage(std::span<const uint8_t> image, std::span<uint8_t> out) {
+  if (image.empty()) {
     std::memset(out.data(), 0, out.size());
-    *cost += costs_->ZeroScanCost(out.size());
-    return true;
+    return;
   }
-  if (!codec_->TryDecompress(compressed, out)) {
-    return false;
-  }
-  *cost += costs_->DecompressCost(out.size());
-  return true;
+  const bool ok = codec_->TryDecompress(image, out);
+  CC_ASSERT(ok && "a staged image failed to decode");
 }
 
 void CompressionCache::Touch(PageKey key) {

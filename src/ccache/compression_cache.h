@@ -220,22 +220,26 @@ class CompressionCache {
                                      std::span<uint8_t> out);
 
   // --- speculative (decompress-ahead) interface ---
-  // Like FaultIn, but for the prefetcher: nothing is charged to the caller's
-  // clock — the modelled decompression time is accumulated into *cost for the
-  // engine to place on its background timeline — and the entry's age and the
-  // fault counters are left untouched (speculation is not a demand reference;
-  // a hit refreshes the age later, via Touch). Checksum verification still
-  // runs, but no injector ordinals are drawn: speculation never perturbs the
-  // fault schedule, and a corrupt entry is simply not prefetched — the demand
-  // fault rediscovers (and meters) the corruption through the real path.
-  CcacheFaultResult PrefetchIn(PageKey key, std::span<uint8_t> out,
-                               SimDuration* cost);
+  // Stages the stored compressed image of `key` in `out` (a page-sized
+  // prefetch buffer frame) and returns its length; 0 means a zero page, and
+  // nothing is staged. The image is decoded only when a demand fault consumes
+  // it (DecodeStagedImage). Nothing is charged to the caller's clock — the
+  // modelled decompression time is added to *cost for the engine to place on
+  // its background timeline — and the entry's age and the fault counters are
+  // left untouched (speculation is not a demand reference; a hit refreshes
+  // the age later, via Touch). No injector ordinals are drawn: speculation
+  // never perturbs the fault schedule. Returns nullopt when the key is absent
+  // or its image would not decode: a payload that fails its checksum, or that
+  // has none to check and fails a trial decode, is simply not prefetched —
+  // the demand fault rediscovers (and meters) the corruption through the real
+  // path. DESIGN.md section 13, "Lazy speculative decode", argues that every
+  // staged image decodes.
+  std::optional<uint32_t> StageImage(PageKey key, std::span<uint8_t> out, SimDuration* cost);
 
-  // Cost-out variant of DecompressImage for speculative swap reads: decodes
-  // without advancing the clock, accumulating the modelled time into *cost.
-  [[nodiscard]] bool DecompressImageDeferred(std::span<const uint8_t> compressed,
-                                             std::span<uint8_t> out,
-                                             SimDuration* cost);
+  // Decodes a staged image into `out`. `image` is the first StageImage()
+  // bytes of the frame it was staged in, empty for a zero page. Charges no
+  // time: the model paid for the decompression when the image was staged.
+  void DecodeStagedImage(std::span<const uint8_t> image, std::span<uint8_t> out);
 
   // Refreshes a live entry's age (a prefetch hit is a demand reference even
   // though the codec path was skipped). No-op when the key is absent.

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <string>
 
@@ -96,9 +95,12 @@ std::optional<FaultOrigin> PipelineEngine::TryFill(PageKey key,
     clock_->Advance(wait, TimeCategory::kDecompression);
     stats_.wait_ready_time += wait;
   }
+  // The model serves the hit with a page copy (the decompression was charged
+  // on the background track at issue); the host decodes the staged image only
+  // now, so speculation that is never consumed costs no host decode.
   const auto data = frames_->FrameData(entry.frame);
   CC_ASSERT(data.size() == out.size());
-  std::memcpy(out.data(), data.data(), out.size());
+  ccache_->DecodeStagedImage(data.first(entry.image_len), out);
   clock_->Advance(costs_->CopyCost(out.size()), TimeCategory::kCopy);
   // The retained compressed copy just serviced a demand reference.
   ccache_->Touch(key);
@@ -146,11 +148,10 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
       return false;
     }
   }
-  const auto frame_data = frames_->FrameData(*frame);
   SimDuration work;  // decompress time, background timeline
-  const bool ok =
-      ccache_->PrefetchIn(key, frame_data, &work) == CcacheFaultResult::kHit;
-  if (!ok) {
+  const std::optional<uint32_t> image_len =
+      ccache_->StageImage(key, frames_->FrameData(*frame), &work);
+  if (!image_len.has_value()) {
     // Corrupt or unreadable source: leave it for the demand fault's ladder
     // (which meters and recovers); speculation stays invisible.
     frames_->FreeFrame(*frame);
@@ -161,6 +162,7 @@ bool PipelineEngine::IssueOne(PageKey key, bool batched) {
   const SimTime start = std::max(background_busy_until_, clock_->Now());
   Entry entry;
   entry.frame = *frame;
+  entry.image_len = *image_len;
   entry.ready_at = start + work;
   entry.age_ns = static_cast<uint64_t>(clock_->Now().nanos());
   background_busy_until_ = entry.ready_at;

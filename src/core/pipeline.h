@@ -3,7 +3,12 @@
 // The engine watches the fault stream through the Pager's PagePrefetcher hook,
 // feeds it to a seeded stride+Markov predictor, and speculatively decompresses
 // predicted-next ccache entries into a small buffer of arbiter-charged frames.
-// A fault that hits the buffer is served by a memory copy: no codec, no disk.
+// In the model, a fault that hits the buffer is served by a memory copy: the
+// decompression was already charged on the background timeline, and no disk
+// is touched. On the host, decoding is lazy: a buffer frame holds the entry's
+// verified compressed image, decoded into the faulting frame only on a hit,
+// so the many predictions nobody consumes cost a copy and a checksum, not a
+// decode.
 // Swapped-out pages are never read speculatively — on a seek-dominated disk a
 // separate single-page read costs more than the fault it might save. Instead,
 // fault batching widens the demand swap read itself (the clustered layout's
@@ -66,7 +71,7 @@ struct PipelineOptions {
 };
 
 struct PrefetchStats {
-  uint64_t issued = 0;   // speculative pages materialized into the buffer
+  uint64_t issued = 0;   // speculative pages buffered (decompressed, in the model)
   uint64_t hits = 0;     // demand faults served from the buffer
   uint64_t misses = 0;   // buffered pages discarded unconsumed
   uint64_t batched = 0;  // issues that came from fault batching (subset of issued)
@@ -103,6 +108,7 @@ class PipelineEngine : public PagePrefetcher {
   void Flush();
 
   size_t buffered_frames() const { return buffer_.size(); }
+  bool IsBuffered(PageKey key) const { return buffer_.contains(key); }
   const PrefetchStats& stats() const { return stats_; }
   FaultPredictor& predictor() { return predictor_; }
 
@@ -115,8 +121,9 @@ class PipelineEngine : public PagePrefetcher {
  private:
   struct Entry {
     FrameId frame;
-    SimTime ready_at;     // speculation finishes on the background timeline
-    uint64_t age_ns = 0;  // issue time, for the arbiter
+    uint32_t image_len = 0;  // staged compressed image bytes; 0 = zero page
+    SimTime ready_at;        // speculation finishes on the background timeline
+    uint64_t age_ns = 0;     // issue time, for the arbiter
   };
 
   // Issues one speculative page if it is a sensible target; returns true when

@@ -157,9 +157,10 @@ void Pager::ServiceFault(Segment& segment, PageEntry& entry, bool write) {
   CC_ASSERT(source != PageState::kResident && "fault on resident page");
 
   // Decompress-ahead short-circuit: a buffered speculative copy services the
-  // fault with a memory copy, skipping the codec and the backing store. The
-  // compressed/backing copies stay where they are, exactly as on the rung
-  // that originally produced the buffered image.
+  // fault, charged as a memory copy (its decompression ran on the background
+  // track) and skipping the backing store. The compressed/backing copies stay
+  // where they are, exactly as on the rung that originally produced the
+  // buffered image.
   if (prefetcher_ != nullptr &&
       (source == PageState::kCompressed || source == PageState::kSwapped)) {
     if (const auto origin = prefetcher_->TryFill(entry.key, frame_data)) {

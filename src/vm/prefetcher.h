@@ -25,9 +25,9 @@ class PagePrefetcher {
  public:
   virtual ~PagePrefetcher() = default;
 
-  // If `key` sits decompressed in the prefetch buffer, copies it into `out`
-  // (charging copy time, plus any wait for the speculative work to finish on
-  // the background timeline), consumes the entry, and reports where the
+  // If `key` sits in the prefetch buffer, fills `out` with the page (charging
+  // copy time, plus any wait for the speculative work to finish on the
+  // background timeline), consumes the entry, and reports where the
   // speculative copy originally came from. Returns nullopt on a buffer miss.
   virtual std::optional<FaultOrigin> TryFill(PageKey key,
                                              std::span<uint8_t> out) = 0;

@@ -4,13 +4,16 @@
 // byte- and counter-identical to the synchronous machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "compress/pagegen.h"
+#include "compress/registry.h"
 #include "core/machine.h"
 #include "disk/disk_device.h"
 #include "disk/disk_model.h"
@@ -406,6 +409,251 @@ TEST(PipelineMachineTest, PipelinedRunsAreDeterministic) {
   ASSERT_EQ(a.snapshot.size(), b.snapshot.size());
   for (const auto& [name, value] : a.snapshot) {
     EXPECT_EQ(b.snapshot.at(name), value) << name << " is nondeterministic";
+  }
+}
+
+// --- lazy speculative decode -------------------------------------------------
+//
+// A buffer frame holds the entry's compressed image and decodes only on a hit.
+// These tests pin what the demand fault sees: the same bytes as a machine with
+// prefetch off, and the same verdict on a corrupt source as the eager decode.
+
+constexpr uint32_t kLazyNumericPages = 768;  // 3 MiB of sparse-numeric pages
+constexpr uint32_t kLazyZeroPages = 256;     // then 1 MiB of all-zero pages
+
+// Every eighth numeric page is all zero too, so zero entries interleave with
+// compressed ones inside a stride walk.
+bool LazyPageIsZero(uint32_t p) { return p >= kLazyNumericPages || p % 8 == 3; }
+
+void WriteLazyPage(Heap& heap, uint32_t p, Rng& rng, std::vector<uint8_t>& page) {
+  if (LazyPageIsZero(p)) {
+    std::fill(page.begin(), page.end(), 0);
+  } else {
+    FillPage(page, ContentClass::kSparseNumeric, rng);
+  }
+  heap.WriteBytes(uint64_t{p} * kPageSize, page);
+}
+
+void ReadPage(Heap& heap, uint32_t p, std::vector<uint8_t>& page) {
+  heap.ReadBytes(uint64_t{p} * kPageSize, page);
+}
+
+struct LazyDecodeRun {
+  uint64_t page_hash = 0;
+  uint64_t numeric_walk_hits = 0;  // prefetch hits during the numeric stride walk
+  uint64_t zero_walk_hits = 0;     // prefetch hits during the all-zero stride walk
+  PrefetchStats prefetch;
+  uint64_t faults_prefetch_hit = 0;
+  size_t audit_violations = 0;
+};
+
+LazyDecodeRun RunLazyDecodeWorkload(bool prefetch, bool checksums) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.integrity.checksums = checksums;
+  if (prefetch) {
+    config.pipeline.enabled = true;
+    config.pipeline.write_behind_depth = 4;
+    config.pipeline.prefetch = true;
+    config.pipeline.prefetch_buffer_pages = 8;
+    config.pipeline.prefetch_per_fault = 2;
+  }
+  Machine machine(config);
+  machine.auditor().set_abort_on_violation(false);
+  Heap heap = machine.NewHeap(uint64_t{kLazyNumericPages + kLazyZeroPages} * kPageSize);
+  const PipelineEngine* engine = machine.pipeline();
+  const auto hits = [engine] { return engine != nullptr ? engine->stats().hits : 0; };
+
+  std::vector<uint8_t> page(kPageSize);
+  Rng rng(11);
+  for (uint32_t p = 0; p < kLazyNumericPages + kLazyZeroPages; ++p) {
+    WriteLazyPage(heap, p, rng, page);
+  }
+
+  LazyDecodeRun run;
+  // Stride walks: the numeric region evicts the zero region into the ccache
+  // as zero entries, and the zero walk then faults them back through the
+  // buffer.
+  uint64_t before = hits();
+  for (uint32_t p = 0; p < kLazyNumericPages; ++p) {
+    ReadPage(heap, p, page);
+  }
+  run.numeric_walk_hits = hits() - before;
+  before = hits();
+  for (uint32_t p = kLazyNumericPages; p < kLazyNumericPages + kLazyZeroPages; ++p) {
+    ReadPage(heap, p, page);
+  }
+  run.zero_walk_hits = hits() - before;
+
+  // Short stride bursts in both directions and at stride 2, separated by
+  // random reads and rewrites: predictions past a burst's end go unconsumed,
+  // and a rewritten page's next prediction must stage its new image.
+  const uint32_t pages = kLazyNumericPages + kLazyZeroPages;
+  for (int burst = 0; burst < 300; ++burst) {
+    const int stride = (burst % 2 == 0 ? 1 : -1) * (burst % 3 == 0 ? 2 : 1);
+    const int64_t start = 12 + static_cast<int64_t>(rng.Below(pages - 24));
+    for (int64_t i = 0; i < 6; ++i) {
+      ReadPage(heap, static_cast<uint32_t>(start + i * stride), page);
+    }
+    const uint32_t touched = static_cast<uint32_t>(rng.Below(pages));
+    if (rng.Below(3) == 0) {
+      WriteLazyPage(heap, touched, rng, page);
+    } else {
+      ReadPage(heap, touched, page);
+    }
+  }
+
+  machine.DrainPipeline();
+  if (engine != nullptr) {
+    run.prefetch = engine->stats();
+  }
+  run.faults_prefetch_hit = machine.pager().stats().faults_prefetch_hit;
+  run.audit_violations = machine.RunAudit();
+  run.page_hash = HashTouchedPages(machine);
+  return run;
+}
+
+TEST(LazyDecodeTest, BufferHitsServeTheSameBytesAsPrefetchOff) {
+  for (const bool checksums : {true, false}) {
+    SCOPED_TRACE(checksums ? "checksums on: CRC verdict" : "checksums off: trial decode");
+    const LazyDecodeRun off = RunLazyDecodeWorkload(/*prefetch=*/false, checksums);
+    const LazyDecodeRun on = RunLazyDecodeWorkload(/*prefetch=*/true, checksums);
+
+    EXPECT_EQ(on.page_hash, off.page_hash);
+    EXPECT_GT(on.numeric_walk_hits, 0u) << "no compressed entry was served from the buffer";
+    EXPECT_GT(on.zero_walk_hits, 0u) << "no zero-page entry was served from the buffer";
+    EXPECT_GT(on.prefetch.hits, 0u);
+    EXPECT_GT(on.prefetch.misses, 0u);
+    EXPECT_EQ(on.prefetch.issued, on.prefetch.hits + on.prefetch.misses);
+    EXPECT_EQ(on.faults_prefetch_hit, on.prefetch.hits);
+    EXPECT_EQ(on.audit_violations, 0u);
+    EXPECT_EQ(off.audit_violations, 0u);
+  }
+}
+
+// The stride walk t-3, t-2, t-1 confirms stride +1, so the fault on t-1
+// predicts t first and t+1 second (one issue per fault). With `corrupt`, one
+// bit of t's stored payload is flipped before the walk — a bit the codec
+// rejects, so the verdict does not hinge on the checksum.
+struct VerdictRun {
+  bool target_buffered = false;  // after the fault on t-1
+  bool next_buffered = false;
+  uint64_t target_prefetch_hits = 0;  // prefetch hits over the fault on t
+  uint64_t mismatches = 0;            // ccache.checksum_mismatches over it
+  uint64_t recovered = 0;
+  uint64_t lost = 0;
+  bool target_intact = false;
+  size_t audit_violations = 0;
+};
+
+VerdictRun RunCorruptionVerdict(bool prefetch, bool checksums, bool corrupt) {
+  MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
+  config.integrity.checksums = checksums;
+  if (prefetch) {
+    config.pipeline.enabled = true;
+    config.pipeline.write_behind_depth = 4;
+    config.pipeline.prefetch = true;
+    config.pipeline.prefetch_buffer_pages = 8;
+    config.pipeline.prefetch_per_fault = 1;
+  }
+  Machine machine(config);
+  machine.auditor().set_abort_on_violation(false);
+  constexpr uint32_t kPages = 768;
+  Heap heap = machine.NewHeap(uint64_t{kPages} * kPageSize);
+  std::vector<std::vector<uint8_t>> reference(kPages, std::vector<uint8_t>(kPageSize));
+  Rng rng(5);
+  for (uint32_t p = 0; p < kPages; ++p) {
+    FillPage(reference[p], ContentClass::kSparseNumeric, rng);
+    heap.WriteBytes(uint64_t{p} * kPageSize, reference[p]);
+  }
+  // Every compressed entry gets a clean backing copy, so the ladder below the
+  // ccache has a rung to recover from.
+  machine.ccache()->FlushDirty();
+
+  const uint32_t seg = heap.segment()->id();
+  const auto compressed = [&](uint32_t p) {
+    const PageEntry* e = machine.pager().PeekEntry(PageKey{seg, p});
+    return e != nullptr && e->state == PageState::kCompressed;
+  };
+  // The target t is the first page with t-3 .. t+1 all in the ccache.
+  uint32_t t = 0;
+  for (uint32_t p = 0, run = 0; p < kPages && t == 0; ++p) {
+    run = compressed(p) ? run + 1 : 0;
+    if (run == 5) {
+      t = p - 1;
+    }
+  }
+  CC_ASSERT(t != 0 && "no run of five compressed pages");
+  const PageKey target{seg, t};
+
+  // A payload bit whose flip the codec rejects (the trial decode's case when
+  // no checksum vouches for the image).
+  const std::vector<uint8_t> payload = *machine.ccache()->RawPayloadFor(target);
+  const std::unique_ptr<Codec> codec = MakeCodec(config.codec);
+  std::vector<uint8_t> scratch(kPageSize);
+  size_t bit = 0;
+  for (; bit < payload.size() * 8; ++bit) {
+    std::vector<uint8_t> flipped = payload;
+    flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    if (!codec->TryDecompress(flipped, scratch)) {
+      break;
+    }
+  }
+  CC_ASSERT(bit < payload.size() * 8 && "no single-bit flip is rejected by the codec");
+  if (corrupt) {
+    machine.ccache()->CorruptPayloadBitForTest(target, bit);
+  }
+
+  std::vector<uint8_t> page(kPageSize);
+  for (uint32_t p = t - 3; p < t; ++p) {
+    ReadPage(heap, p, page);
+  }
+  const PipelineEngine* engine = machine.pipeline();
+  VerdictRun run;
+  if (engine != nullptr) {
+    run.target_buffered = engine->IsBuffered(target);
+    run.next_buffered = engine->IsBuffered(PageKey{seg, t + 1});
+  }
+  const uint64_t hits_before = engine != nullptr ? engine->stats().hits : 0;
+  const uint64_t mismatches_before = machine.ccache()->stats().checksum_mismatches;
+  const VmStats vm_before = machine.pager().stats();
+  ReadPage(heap, t, page);
+  run.target_prefetch_hits = (engine != nullptr ? engine->stats().hits : 0) - hits_before;
+  run.mismatches = machine.ccache()->stats().checksum_mismatches - mismatches_before;
+  run.recovered = machine.pager().stats().pages_recovered - vm_before.pages_recovered;
+  run.lost = machine.pager().stats().pages_lost - vm_before.pages_lost;
+  run.target_intact = page == reference[t];
+  machine.DrainPipeline();
+  run.audit_violations = machine.RunAudit();
+  return run;
+}
+
+TEST(LazyDecodeTest, CorruptSourceIsNotBufferedAndTheDemandFaultTakesTheLadder) {
+  for (const bool checksums : {true, false}) {
+    SCOPED_TRACE(checksums ? "checksums on: CRC verdict" : "checksums off: trial decode");
+    // Control: intact, the target is the next page buffered.
+    const VerdictRun control = RunCorruptionVerdict(/*prefetch=*/true, checksums, false);
+    ASSERT_TRUE(control.target_buffered) << "the walk no longer predicts the target";
+    EXPECT_EQ(control.target_prefetch_hits, 1u);
+    EXPECT_EQ(control.mismatches, 0u);
+    EXPECT_TRUE(control.target_intact);
+
+    const VerdictRun off = RunCorruptionVerdict(/*prefetch=*/false, checksums, true);
+    const VerdictRun on = RunCorruptionVerdict(/*prefetch=*/true, checksums, true);
+    // Not buffered: the engine moved on to the next prediction instead.
+    EXPECT_FALSE(on.target_buffered);
+    EXPECT_TRUE(on.next_buffered);
+    EXPECT_EQ(on.target_prefetch_hits, 0u);
+    // The demand fault meets the corruption exactly as with prefetch off.
+    EXPECT_EQ(off.mismatches, 1u);
+    EXPECT_EQ(on.mismatches, off.mismatches);
+    EXPECT_EQ(on.recovered, off.recovered);
+    EXPECT_EQ(on.lost, off.lost);
+    EXPECT_EQ(off.recovered, 1u) << "the flushed backing copy should recover the page";
+    EXPECT_TRUE(off.target_intact);
+    EXPECT_TRUE(on.target_intact);
+    EXPECT_EQ(control.audit_violations, 0u);
+    EXPECT_EQ(off.audit_violations, 0u);
+    EXPECT_EQ(on.audit_violations, 0u);
   }
 }
 
