@@ -43,6 +43,10 @@ Schema (schema_version 1):
                         gated as a ratio within the same run:
                           wall_clock.us_per_fault_64mb
                             <= 1.5 * wall_clock.us_per_fault_4mb
+                        it must also publish the CRC-32C rate
+                        (wall_clock.crc32c_mbps) and name the implementation
+                        that produced it (config.crc32c_path: "sse4.2" or
+                        "table"), so a CI log shows the path taken
     proc.*              per-process attribution counters from the scheduler;
                         when present (unprefixed), each family must sum
                         exactly to the machine total it partitions:
@@ -157,7 +161,10 @@ PERF_HOTPATH_METRICS = (
     "wall_clock.us_per_fault_64mb",
     "wall_clock.sweep_speedup",
     "wall_clock.sweep_threads",
+    "wall_clock.crc32c_mbps",
 )
+# The CRC-32C implementations perf_hotpath may report in config.crc32c_path.
+CRC32C_PATHS = ("sse4.2", "table")
 # Same-run bound on us_per_fault_64mb / us_per_fault_4mb: per-fault eviction
 # bookkeeping is O(1), so a 16x larger machine may cost only cache effects.
 PERF_HOTPATH_SCALING_LIMIT = 1.5
@@ -520,6 +527,10 @@ def validate(path):
         for name in PERF_HOTPATH_METRICS:
             if name not in metrics:
                 err(f'perf_hotpath must publish metrics["{name}"]')
+        crc_path = config.get("crc32c_path") if isinstance(config, dict) else None
+        if crc_path not in CRC32C_PATHS:
+            err(f'perf_hotpath config["crc32c_path"] must be one of '
+                f"{CRC32C_PATHS}, got {crc_path!r}")
         speedup = metrics.get("wall_clock.zero_speedup_vs_codec")
         if is_number(speedup) and speedup <= 1:
             err(f"perf_hotpath zero-page fast path must beat the codec path, "

@@ -26,6 +26,9 @@
 //                                    does not grow with memory
 //   wall_clock.sweep_speedup         parallel sweep vs the same sweep serial
 //   wall_clock.sweep_threads         worker count the parallel sweep used
+//   wall_clock.crc32c_mbps           Crc32 over one 4 KiB buffer, MiB/s, on
+//                                    the path named by config.crc32c_path
+//                                    ("sse4.2" or "table")
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -38,6 +41,7 @@
 #include "bench_json.h"
 #include "core/machine.h"
 #include "sweep_runner.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 using namespace compcache;
@@ -94,6 +98,31 @@ double DecompressRate(Machine& machine, std::span<const uint8_t> page, int iters
   return iters / SecondsSince(start);
 }
 
+// Wall-clock rate of Crc32 in MiB/s over one 4 KiB buffer, on whichever path
+// this CPU takes. One byte changes per call, so no call can be hoisted.
+double Crc32Mbps(int iters) {
+  std::vector<uint8_t> buf(kPageSize);
+  Rng rng(11);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.Below(256));
+  }
+  uint32_t sink = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sink ^= Crc32(buf);
+  }
+  const WallClock::time_point start = WallClock::now();
+  for (int i = 0; i < iters; ++i) {
+    buf[static_cast<size_t>(i) % buf.size()] ^= static_cast<uint8_t>(sink);
+    sink ^= Crc32(buf);
+  }
+  const double seconds = SecondsSince(start);
+  if (sink == 0) {
+    std::printf("(unreachable sink)\n");
+  }
+  const double bytes = static_cast<double>(iters) * static_cast<double>(buf.size());
+  return bytes / (1024.0 * 1024.0) / seconds;
+}
+
 // Host microseconds per fault of a read-write thrasher over twice `memory`,
 // timed after the untimed init pass. Every machine size runs about the same
 // number of measured faults (smaller machines make more passes), so the rows
@@ -136,6 +165,8 @@ SimDuration SweepJob() {
 int main(int argc, char** argv) {
   BenchReport report("perf_hotpath", argc, argv);
   report.Config("user_memory_mb", kUserMemory / kMiB);
+  const char* const crc32c_path = Crc32HardwarePath() ? "sse4.2" : "table";
+  report.Config("crc32c_path", std::string(crc32c_path));
 
   std::printf("perf_hotpath: host wall-clock throughput of the simulator hot paths\n\n");
 
@@ -160,6 +191,10 @@ int main(int argc, char** argv) {
   std::printf("  zero-path speedup:   %12.2fx\n", zero_speedup);
   std::printf("  decode (text):       %12.0f pages/s\n", decode_rate);
   std::printf("  decode vs encode:    %12.2fx\n\n", decode_speedup);
+
+  // --- payload verification: every ccache hit checks a CRC-32C first ---
+  const double crc32c_mbps = Crc32Mbps(100'000);
+  std::printf("CRC-32C (4 KiB buffer, %s path): %10.0f MiB/s\n\n", crc32c_path, crc32c_mbps);
 
   // --- end-to-end fault throughput under thrashing ---
   const WallClock::time_point fault_start = WallClock::now();
@@ -229,7 +264,8 @@ int main(int argc, char** argv) {
       .Set("us_per_fault_16mb", us_per_fault_16mb)
       .Set("us_per_fault_64mb", us_per_fault_64mb)
       .Set("sweep_speedup", sweep_speedup)
-      .Set("sweep_threads", static_cast<uint64_t>(threads));
+      .Set("sweep_threads", static_cast<uint64_t>(threads))
+      .Set("crc32c_mbps", crc32c_mbps);
   const std::vector<std::pair<std::string, double>> wall = {
       {"wall_clock.zero_pages_per_sec", zero_rate},
       {"wall_clock.codec_pages_per_sec", codec_rate},
@@ -242,6 +278,7 @@ int main(int argc, char** argv) {
       {"wall_clock.us_per_fault_64mb", us_per_fault_64mb},
       {"wall_clock.sweep_speedup", sweep_speedup},
       {"wall_clock.sweep_threads", static_cast<double>(threads)},
+      {"wall_clock.crc32c_mbps", crc32c_mbps},
   };
   report.MergeMetrics(wall);
   report.MergeMetrics(thrash_machine.metrics(), "thrash.");

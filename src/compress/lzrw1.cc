@@ -16,12 +16,17 @@ constexpr size_t kItemsPerGroup = 16;
 
 // Fast-path entry conditions, checked once per group (DESIGN.md §13, "LZRW1
 // kernels"). The encoder needs room for a whole group of 18-byte matches plus
-// three 8-byte words ahead of the last item. The decoder needs a whole group's
-// control word and items, and output room for 16 maximal copies: item k starts
-// at most 18k bytes into the group and writes at most 18 bytes, overshoot
-// included.
+// three 8-byte words ahead of the last item.
+//
+// The decoder needs output room for 16 maximal copies: item k starts at most
+// 18k bytes into the group and writes at most 18 bytes, overshoot included (a
+// 16-byte literal move starts at most 18 * 15 + 1 bytes in). On the input side
+// it needs the control word and at most 32 item bytes, and room for each
+// 16-byte literal move. The last move starts after the group's last copy:
+// with at least one literal among the 16 items that is at most 31 item bytes
+// in, so the move reads at most 2 + 31 + 16 bytes from the group start.
 constexpr size_t kEncodeFastInput = kItemsPerGroup * kLzrwMaxMatch + 24;
-constexpr ptrdiff_t kDecodeFastInput = 2 + 2 * kItemsPerGroup;
+constexpr ptrdiff_t kDecodeFastInput = 2 + (2 * kItemsPerGroup - 1) + kItemsPerGroup;
 constexpr ptrdiff_t kDecodeFastOutput = kItemsPerGroup * kLzrwMaxMatch;
 
 size_t WorstCase(size_t n) {
@@ -76,6 +81,40 @@ inline size_t MatchLength(const uint8_t* a, const uint8_t* b, uint64_t diff) {
   diff = Load64(a + 16) ^ Load64(b + 16);
   const size_t len = diff != 0 ? 16 + static_cast<size_t>(std::countr_zero(diff)) / 8 : 24;
   return std::min<size_t>(len, kLzrwMaxMatch);
+}
+
+// One copy item of a fast group: no truncation or end-of-output check, which
+// the group's entry bounds make unnecessary. Returns false when the offset
+// reaches before the start of the output.
+inline bool FastCopyItem(const uint8_t*& in, uint8_t*& out, const uint8_t* out_begin) {
+  const uint32_t b0 = in[0];
+  const uint32_t b1 = in[1];
+  in += 2;
+  const size_t offset = ((b0 & 0xF0u) << 4) | b1;
+  const size_t len = (b0 & 0x0Fu) + kLzrwMinMatch;
+  if (offset < 1 || out - out_begin < static_cast<ptrdiff_t>(offset)) [[unlikely]] {
+    return false;
+  }
+  const uint8_t* const from = out - offset;
+  if (offset >= 8) {
+    // Each move's source ends at least offset >= its width bytes behind its
+    // destination, so the ranges do not overlap and hold only final bytes:
+    // the moves reproduce the byte-wise copy. Bytes past len are rewritten by
+    // later items before the stream can be accepted. Bytes 16-17 move as a
+    // pair, not as a third 8-byte word: that word would straddle this item's
+    // own first store and stall store-to-load forwarding on runs.
+    std::memcpy(out, from, 8);
+    std::memcpy(out + 8, from + 8, 8);
+    if (len > 16) {
+      std::memcpy(out + 16, from + 16, 2);
+    }
+  } else {
+    for (size_t i = 0; i < len; ++i) {  // byte-wise: offset < len repeats a pattern
+      out[i] = from[i];
+    }
+  }
+  out += len;
+  return true;
 }
 
 }  // namespace
@@ -247,54 +286,51 @@ bool LzrwTryDecode(std::span<const uint8_t> src, std::span<uint8_t> dst) {
   uint8_t* out = out_begin;
   uint8_t* const out_end = out + n;
 
-  // Fast groups: with a whole group's input and kDecodeFastOutput bytes of
-  // output room at the group start, no item can be truncated or run past the
-  // end of dst, so only the offset checks remain per item.
+  // Fast groups: with kDecodeFastInput input bytes and kDecodeFastOutput
+  // bytes of output room at the group start, no item can be truncated or run
+  // past the end of dst and no literal move can read past in_end, so only the
+  // offset checks remain per item.
   while (in_end - in >= kDecodeFastInput && out_end - out >= kDecodeFastOutput) {
     uint32_t control = static_cast<uint32_t>(in[0] | (in[1] << 8));
     in += 2;
-    if (control == 0) {  // sixteen literals
-      std::memcpy(out, in, kItemsPerGroup);
-      in += kItemsPerGroup;
-      out += kItemsPerGroup;
+    // control | (control - 1) sets every bit below the lowest copy item, so
+    // all 16 bits are set exactly when the group is a literal run, possibly
+    // empty, then only copies (every group of a zero page, say; about a
+    // quarter of kv_zipf's). The run moves at once, if there is one, then the
+    // copies decode back to back.
+    if ((control | (control - 1)) == 0xFFFFu) {
+      const int run = std::countr_zero(control);
+      if (run != 0) {
+        std::memcpy(out, in, kItemsPerGroup);
+        in += run;
+        out += run;
+      }
+      for (int item = run; item < static_cast<int>(kItemsPerGroup); ++item) {
+        if (!FastCopyItem(in, out, out_begin)) {
+          return false;
+        }
+      }
       continue;
     }
-    for (size_t item = 0; item < kItemsPerGroup; ++item, control >>= 1) {
-      if ((control & 1u) == 0) {
-        *out++ = *in++;
-        continue;
+    // Each literal run moves at once: one 16-byte move covers any run, and
+    // the bytes past it are rewritten by later items before the stream can be
+    // accepted. Bit 16 is a sentinel that ends the last run; once the shift
+    // passes it the group is done.
+    control |= 1u << kItemsPerGroup;
+    while (true) {
+      const int run = std::countr_zero(control);
+      std::memcpy(out, in, kItemsPerGroup);
+      in += run;
+      out += run;
+      control >>= run + 1;  // the run, then the copy item (or the sentinel)
+      if (control == 0) {
+        break;
       }
-      const uint32_t b0 = in[0];
-      const uint32_t b1 = in[1];
-      in += 2;
-      const size_t offset = ((b0 & 0xF0u) << 4) | b1;
-      const size_t len = (b0 & 0x0Fu) + kLzrwMinMatch;
-      if (offset < 1 || out - out_begin < static_cast<ptrdiff_t>(offset)) {
-        return false;  // offset before start of output
+      if (!FastCopyItem(in, out, out_begin)) {
+        return false;
       }
-      const uint8_t* const from = out - offset;
-      if (offset >= 8) {
-        // Each move's source ends at least offset >= its width bytes behind
-        // its destination, so the ranges do not overlap and hold only final
-        // bytes: the moves reproduce the byte-wise copy. Bytes past len are
-        // rewritten by later items before the stream can be accepted. Bytes
-        // 16-17 move as a pair, not as a third 8-byte word: that word would
-        // straddle this item's own first store and stall store-to-load
-        // forwarding on runs.
-        std::memcpy(out, from, 8);
-        std::memcpy(out + 8, from + 8, 8);
-        if (len > 16) {
-          std::memcpy(out + 16, from + 16, 2);
-        }
-      } else {
-        for (size_t i = 0; i < len; ++i) {  // byte-wise: offset < len repeats a pattern
-          out[i] = from[i];
-        }
-      }
-      out += len;
     }
   }
-
   // Tail: the reference loop, every item checked against both ends.
   while (out < out_end) {
     if (in + 2 > in_end) {

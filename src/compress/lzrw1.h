@@ -14,14 +14,16 @@
 //     what makes the algorithm fast;
 //   * decompression needs no table at all, so it runs faster than compression.
 //     The paper's Figure 1 analysis assumes about 2:1. Here a 4 KB page decodes
-//     2.2x (sparse numeric) to 3.2x (text) faster than it encodes
-//     (bench/codec_throughput, Release, 4-vCPU 2.1 GHz Xeon VM), and
+//     about 2.5x (pointer arrays) to 4.6x (text) faster than it encodes, and
+//     1.9x for an all-zero page (bench/codec_throughput, Release, 4-vCPU
+//     2.1 GHz Xeon VM, median of six rounds), and
 //     bench/perf_hotpath gates decode faster than encode within one run.
 //
 // Both directions run a group-at-a-time fast path while a whole 16-item group
-// fits, then the bytewise loop for the tail. The output and every decode
-// verdict are byte-identical to the bytewise code alone (DESIGN.md §13,
-// "LZRW1 kernels"; pinned by compress_test's Lzrw1OracleTest).
+// fits, then the bytewise loop for the tail; the decoder's fast path moves each
+// run of literal items at once. The output and every decode verdict are
+// byte-identical to the bytewise code alone (DESIGN.md §13, "LZRW1 kernels";
+// pinned by compress_test's Lzrw1OracleTest).
 //
 // The hash table size is configurable because the paper (section 4.4) discusses the
 // memory/ratio trade-off: "This hash table can be relatively large (e.g., on the

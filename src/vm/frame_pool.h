@@ -8,6 +8,7 @@
 #ifndef COMPCACHE_VM_FRAME_POOL_H_
 #define COMPCACHE_VM_FRAME_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,9 +29,16 @@ struct FrameId {
 
 class FramePool {
  public:
+  // Debug builds fill every frame that is not in use with this byte, so a
+  // consumer that reads a frame before writing it sees garbage, not zeros.
+  static constexpr uint8_t kFreePoison = 0xA5;
+
   explicit FramePool(size_t num_frames)
       : storage_(num_frames * kPageSize), is_free_(num_frames, true) {
     CC_EXPECTS(num_frames > 0);
+#ifndef NDEBUG
+    std::fill(storage_.begin(), storage_.end(), kFreePoison);
+#endif
     free_list_.reserve(num_frames);
     for (size_t i = num_frames; i > 0; --i) {
       free_list_.push_back(FrameId{static_cast<uint32_t>(i - 1)});
@@ -45,8 +53,11 @@ class FramePool {
   size_t free_frames() const { return free_list_.size(); }
   size_t used_frames() const { return total_ - free_list_.size(); }
 
-  // Returns a zeroed frame, or nullopt when memory is exhausted (the caller then
-  // asks the memory arbiter to reclaim and retries).
+  // Returns a frame, or nullopt when memory is exhausted (the caller then asks
+  // the memory arbiter to reclaim and retries). The frame's bytes are
+  // unspecified: whatever its last owner left, or kFreePoison in Debug builds.
+  // Every consumer writes a byte before reading it; only the pager's zero-fill
+  // fault wants zeros, and it clears the frame itself.
   std::optional<FrameId> TryAllocate() {
     if (free_list_.empty()) {
       return std::nullopt;
@@ -55,8 +66,6 @@ class FramePool {
     free_list_.pop_back();
     CC_ASSERT(is_free_[id.value]);
     is_free_[id.value] = false;
-    auto data = Data(id);
-    std::fill(data.begin(), data.end(), uint8_t{0});
     return id;
   }
 
@@ -65,6 +74,10 @@ class FramePool {
     CC_EXPECTS(id.value < total_);
     CC_EXPECTS(!is_free_[id.value]);  // catches double-free
     is_free_[id.value] = true;
+#ifndef NDEBUG
+    auto data = Data(id);
+    std::fill(data.begin(), data.end(), kFreePoison);
+#endif
     free_list_.push_back(id);
     CC_ENSURES(free_list_.size() <= total_);
   }

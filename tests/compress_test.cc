@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/adaptive.h"
@@ -872,7 +873,8 @@ TEST(Lzrw1OracleTest, ContentClassesAtEveryHashSize) {
 }
 
 // The encoder's fast groups run while 16 * 18 + 24 input bytes remain and the
-// decoder's while 34 input / 16 * 18 output bytes remain; every length up to 700,
+// decoder's while 49 input and 16 * 18 output bytes remain; every length up
+// to 700,
 // plus lengths on both sides of a few later group boundaries, puts that
 // switch-over at every position relative to a group.
 TEST(Lzrw1OracleTest, EveryLengthAcrossTheFastTailBoundary) {
@@ -973,6 +975,97 @@ TEST(Lzrw1OracleTest, EveryTruncationGetsTheSameVerdict) {
     for (const size_t out_size : {kPageSize - 1, kPageSize + 1, kPageSize + 300}) {
       SCOPED_TRACE(::testing::Message() << "out_size " << out_size);
       ExpectSameDecode(image, out_size);
+    }
+  }
+}
+
+// One item of a hand-built LZRW stream: a literal byte, or a copy.
+struct LzrwItem {
+  bool copy = false;
+  uint8_t literal = 0;
+  uint32_t offset = 0;
+  uint32_t len = 0;
+};
+
+LzrwItem Literal(uint8_t byte) { return LzrwItem{.literal = byte}; }
+
+LzrwItem Copy(uint32_t offset, uint32_t len) {
+  return LzrwItem{.copy = true, .offset = offset, .len = len};
+}
+
+// Encodes `items` as a compressed LZRW container, 16 items per control word,
+// and returns the image with the size of the output it decodes to.
+std::pair<std::vector<uint8_t>, size_t> EncodeItems(const std::vector<LzrwItem>& items) {
+  std::vector<uint8_t> image = {kContainerCompressed};
+  size_t out_size = 0;
+  for (size_t group = 0; group < items.size(); group += 16) {
+    const size_t control_at = image.size();
+    image.insert(image.end(), {0, 0});
+    uint32_t control = 0;
+    for (size_t k = 0; k < 16 && group + k < items.size(); ++k) {
+      const LzrwItem& item = items[group + k];
+      if (item.copy) {
+        control |= 1u << k;
+        const uint32_t b0 = ((item.offset >> 4) & 0xF0u) | (item.len - kLzrwMinMatch);
+        image.push_back(static_cast<uint8_t>(b0));
+        image.push_back(static_cast<uint8_t>(item.offset & 0xFFu));
+        out_size += item.len;
+      } else {
+        image.push_back(item.literal);
+        ++out_size;
+      }
+    }
+    image[control_at] = static_cast<uint8_t>(control & 0xFFu);
+    image[control_at + 1] = static_cast<uint8_t>(control >> 8);
+  }
+  return {image, out_size};
+}
+
+// The decoder's fast groups move each literal run 16 bytes at once. A group
+// holding literals needs 2 + 31 + 16 input bytes (the move after its last
+// copy reads furthest); a group of copies after a literal run needs 2 + 32.
+// Each edge group below follows 32 literals and precedes three groups of
+// copies, so its output room never ends the fast path. Every truncation that
+// ends the input up to 70 bytes past the edge group's start puts that group on
+// both sides of both input bounds; ExpectSameDecode decodes from an exact-size
+// buffer, so under ASan a move past the end of input is caught.
+TEST(Lzrw1OracleTest, LiteralRunsAtTheFastPathEdges) {
+  Rng rng(0x11E7u);
+  std::vector<std::vector<bool>> patterns;  // per item of the edge group: is a copy
+  patterns.push_back(std::vector<bool>(16, true));
+  for (size_t k = 0; k < 16; ++k) {
+    std::vector<bool> run_to_end(16, false);  // copies, then literals from item k on
+    std::fill(run_to_end.begin(), run_to_end.begin() + static_cast<ptrdiff_t>(k), true);
+    std::vector<bool> one_literal(16, true);  // a one-literal run at item k
+    one_literal[k] = false;
+    std::vector<bool> one_copy(16, false);  // literal runs around a copy at item k
+    one_copy[k] = true;
+    patterns.insert(patterns.end(), {run_to_end, one_literal, one_copy});
+  }
+  constexpr size_t kEdgeStart = 1 + 2 * (2 + 16);  // container byte, two literal groups
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    std::vector<LzrwItem> items;
+    for (int i = 0; i < 32; ++i) {
+      items.push_back(Literal(static_cast<uint8_t>(rng.Below(256))));
+    }
+    for (size_t k = 0; k < 16; ++k) {
+      if (patterns[p][k]) {  // offsets 1..32 reach both the byte-wise and word copies
+        const auto offset = 1 + static_cast<uint32_t>(rng.Below(32));
+        const auto len = kLzrwMinMatch + static_cast<uint32_t>(rng.Below(16));
+        items.push_back(Copy(offset, len));
+      } else {
+        items.push_back(Literal(static_cast<uint8_t>(rng.Below(256))));
+      }
+    }
+    for (int i = 0; i < 48; ++i) {
+      items.push_back(Copy(18, kLzrwMaxMatch));
+    }
+    const auto [image, out_size] = EncodeItems(items);
+    SCOPED_TRACE(::testing::Message() << "pattern " << p);
+    ASSERT_TRUE(ExpectSameDecode(image, out_size));
+    for (size_t len = kEdgeStart; len <= kEdgeStart + 70; ++len) {
+      SCOPED_TRACE(::testing::Message() << "input ends at edge group + " << len - kEdgeStart);
+      EXPECT_FALSE(ExpectSameDecode(std::span<const uint8_t>(image).first(len), out_size));
     }
   }
 }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/checksum.h"
@@ -252,7 +254,7 @@ TEST(LruListTest, FindFirstStopsAtTheFirstMatch) {
 
 // ---------- CRC-32C ----------
 
-// The textbook bytewise loop the sliced implementation must agree with.
+// The textbook bytewise loop every implementation must agree with.
 uint32_t BytewiseCrc32c(std::span<const uint8_t> data) {
   uint32_t crc = 0xFFFFFFFFu;
   for (const uint8_t byte : data) {
@@ -265,27 +267,59 @@ uint32_t BytewiseCrc32c(std::span<const uint8_t> data) {
   return crc == 0 ? 1u : crc;
 }
 
+using Crc32Fn = uint32_t (*)(std::span<const uint8_t>);
+
+// Every CRC-32C implementation this host can run, by name: the dispatching
+// Crc32(), the portable tables, and the SSE4.2 path when the CPU has it.
+std::vector<std::pair<std::string, Crc32Fn>> Crc32Implementations() {
+  std::vector<std::pair<std::string, Crc32Fn>> fns = {
+      {"Crc32", &Crc32},
+      {"sliced", &internal::Crc32cSliced},
+  };
+#ifdef COMPCACHE_CRC32C_HARDWARE
+  if (Crc32HardwarePath()) {
+    fns.emplace_back("sse4.2", &internal::Crc32cHardware);
+  }
+#endif
+  return fns;
+}
+
 TEST(Crc32Test, KnownAnswer) {
   const std::string check = "123456789";
   const std::vector<uint8_t> bytes(check.begin(), check.end());
-  EXPECT_EQ(Crc32(bytes), 0xE3069283u);  // the CRC-32C check value
-  // The empty input's true CRC is 0, which is reserved for "absent".
-  EXPECT_EQ(Crc32({}), 1u);
+  for (const auto& [name, crc32] : Crc32Implementations()) {
+    EXPECT_EQ(crc32(bytes), 0xE3069283u) << name;  // the CRC-32C check value
+    // The empty input's true CRC is 0, which is reserved for "absent".
+    EXPECT_EQ(crc32({}), 1u) << name;
+  }
 }
 
-TEST(Crc32Test, SlicedMatchesBytewiseAtEveryOffsetAndLength) {
+TEST(Crc32Test, HardwarePathFollowsTheCpu) {
+#ifdef COMPCACHE_CRC32C_HARDWARE
+  __builtin_cpu_init();
+  EXPECT_EQ(Crc32HardwarePath(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(Crc32HardwarePath());
+#endif
+  std::printf("Crc32 path on this host: %s\n", Crc32HardwarePath() ? "sse4.2" : "sliced");
+}
+
+TEST(Crc32Test, EveryImplementationMatchesBytewiseAtEveryOffsetAndLength) {
   Rng rng(0xC2C);
   std::vector<uint8_t> buf(4500 + 16);
   for (uint8_t& b : buf) {
     b = static_cast<uint8_t>(rng.Below(256));
   }
-  for (size_t offset = 0; offset < 16; ++offset) {
-    for (size_t len = 0; len <= 4500; len += (len < 64 ? 1 : 1 + rng.Below(61))) {
-      const auto span = std::span<const uint8_t>(buf).subspan(offset, len);
-      ASSERT_EQ(Crc32(span), BytewiseCrc32c(span)) << "offset " << offset << " len " << len;
+  for (const auto& [name, crc32] : Crc32Implementations()) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 4500; len += (len < 64 ? 1 : 1 + rng.Below(61))) {
+        const auto span = std::span<const uint8_t>(buf).subspan(offset, len);
+        ASSERT_EQ(crc32(span), BytewiseCrc32c(span))
+            << name << " offset " << offset << " len " << len;
+      }
+      const auto whole = std::span<const uint8_t>(buf).subspan(offset, 4500);
+      ASSERT_EQ(crc32(whole), BytewiseCrc32c(whole)) << name << " offset " << offset;
     }
-    const auto whole = std::span<const uint8_t>(buf).subspan(offset, 4500);
-    ASSERT_EQ(Crc32(whole), BytewiseCrc32c(whole)) << "offset " << offset << " len 4500";
   }
 }
 
