@@ -19,6 +19,12 @@
 // with the retry/backoff cost, retries are counted, and no pages are lost —
 // there is no cliff and no wrong result as the rate rises 0 -> 1e-3.
 //
+// --codec-faults=<rate> enables codec corruption injection at the given
+// per-decompression probability: a bit of the transient copy of a payload is
+// flipped before its CRC-32C check, so each hit takes the integrity ladder's
+// checksum-mismatch rung (re-fetch a clean backing copy, else zero-fill and
+// abort the owning segment). Independent of --faults; both may be given.
+//
 // --mix=none|gold|sort time-shares every machine between the thrasher and a
 // partner process (round-robin, 1 ms quantum) — the paper's multiprogramming
 // regime on the thrashing sweep. Access times are still the thrasher's; the
@@ -79,14 +85,15 @@ std::unique_ptr<App> MakePartner(MixPartner partner) {
 }
 
 RunResult RunOne(uint64_t address_space, bool use_ccache, bool write, double fault_rate,
-                 MixPartner partner, bool snapshot_metrics) {
+                 double codec_fault_rate, MixPartner partner, bool snapshot_metrics) {
   MachineConfig config = use_ccache ? MachineConfig::WithCompressionCache(kUserMemory)
                                     : MachineConfig::Unmodified(kUserMemory);
-  if (fault_rate > 0.0) {
+  if (fault_rate > 0.0 || codec_fault_rate > 0.0) {
     config.fault_injection.enabled = true;
     config.fault_injection.seed = 1993;
     config.fault_injection.disk_read_error_rate = fault_rate;
     config.fault_injection.disk_write_error_rate = fault_rate;
+    config.fault_injection.codec_corruption_rate = codec_fault_rate;
   }
   Machine machine(config);
 
@@ -136,9 +143,11 @@ RunResult RunOne(uint64_t address_space, bool use_ccache, bool write, double fau
 int main(int argc, char** argv) {
   // --quick: two sizes instead of twelve, for CI smoke runs.
   // --faults=<rate>: per-operation transient disk error probability (default 0).
+  // --codec-faults=<rate>: per-decompression codec corruption probability (default 0).
   // --mix=none|gold|sort: time-share each machine with a partner process.
   bool quick = false;
   double fault_rate = 0.0;
+  double codec_fault_rate = 0.0;
   MixPartner partner = MixPartner::kNone;
   std::string mix_name = "none";
   for (int i = 1; i < argc; ++i) {
@@ -146,6 +155,8 @@ int main(int argc, char** argv) {
       quick = true;
     } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
       fault_rate = std::strtod(argv[i] + 9, nullptr);
+    } else if (std::strncmp(argv[i], "--codec-faults=", 15) == 0) {
+      codec_fault_rate = std::strtod(argv[i] + 15, nullptr);
     } else if (std::strncmp(argv[i], "--mix=", 6) == 0) {
       mix_name = argv[i] + 6;
       if (mix_name == "gold") {
@@ -169,12 +180,20 @@ int main(int argc, char** argv) {
   report.Config("passes", uint64_t{2});
   report.Config("quick", quick);
   report.Config("fault_rate", fault_rate);
+  if (codec_fault_rate > 0.0) {
+    // Only when set, so reports without the flag keep their earlier config.
+    report.Config("codec_fault_rate", codec_fault_rate);
+  }
   report.Config("mix", mix_name);
 
   std::printf("Figure 3: thrasher on a %llu MB machine (RZ57-class disk, LZRW1, 4 KB pages)\n",
               static_cast<unsigned long long>(kUserMemory / kMiB));
   if (fault_rate > 0.0) {
     std::printf("fault injection: transient disk error rate %g per op\n", fault_rate);
+  }
+  if (codec_fault_rate > 0.0) {
+    std::printf("fault injection: codec corruption rate %g per decompression\n",
+                codec_fault_rate);
   }
   if (partner != MixPartner::kNone) {
     std::printf("mix: thrasher time-shared with %s (round-robin, 1 ms quantum)\n",
@@ -193,17 +212,17 @@ int main(int argc, char** argv) {
     // The last size's cc_rw machine contributes the metric snapshot: the most
     // memory-pressured configuration, so every subsystem has non-zero counters.
     const bool snapshot = mb == sizes_mb.back() && report.enabled();
-    jobs.push_back([bytes, fault_rate, partner] {
-      return RunOne(bytes, false, true, fault_rate, partner, false);
+    jobs.push_back([bytes, fault_rate, codec_fault_rate, partner] {
+      return RunOne(bytes, false, true, fault_rate, codec_fault_rate, partner, false);
     });
-    jobs.push_back([bytes, fault_rate, partner, snapshot] {
-      return RunOne(bytes, true, true, fault_rate, partner, snapshot);
+    jobs.push_back([bytes, fault_rate, codec_fault_rate, partner, snapshot] {
+      return RunOne(bytes, true, true, fault_rate, codec_fault_rate, partner, snapshot);
     });
-    jobs.push_back([bytes, fault_rate, partner] {
-      return RunOne(bytes, false, false, fault_rate, partner, false);
+    jobs.push_back([bytes, fault_rate, codec_fault_rate, partner] {
+      return RunOne(bytes, false, false, fault_rate, codec_fault_rate, partner, false);
     });
-    jobs.push_back([bytes, fault_rate, partner] {
-      return RunOne(bytes, true, false, fault_rate, partner, false);
+    jobs.push_back([bytes, fault_rate, codec_fault_rate, partner] {
+      return RunOne(bytes, true, false, fault_rate, codec_fault_rate, partner, false);
     });
   }
   const std::vector<RunResult> results = RunSweep(jobs, SweepThreadsFromArgs(argc, argv));

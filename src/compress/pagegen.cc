@@ -1,5 +1,6 @@
 #include "compress/pagegen.h"
 
+#include <array>
 #include <cstring>
 
 #include "compress/lzrw1.h"
@@ -25,40 +26,101 @@ constexpr std::string_view kWords[] = {
 };
 constexpr size_t kNumWords = sizeof(kWords) / sizeof(kWords[0]);
 
-std::string_view PickWord(Rng& rng, bool zipf) {
-  if (zipf) {
-    // Squaring a uniform draw skews toward low indices (frequent words).
-    const double u = rng.NextDouble();
-    const auto idx = static_cast<size_t>(u * u * static_cast<double>(kNumWords));
-    return kWords[idx < kNumWords ? idx : kNumWords - 1];
+// Each word padded with spaces to kWordStore bytes, so the word stream can
+// write a word and its separator with one fixed-size store (see
+// AppendWordStream).
+constexpr size_t kWordStore = 16;
+
+struct PaddedWord {
+  char bytes[kWordStore];
+  uint8_t size;  // the word's own length, without padding
+};
+
+constexpr std::array<PaddedWord, kNumWords> MakePaddedWords() {
+  std::array<PaddedWord, kNumWords> table{};
+  for (size_t i = 0; i < kNumWords; ++i) {
+    for (size_t j = 0; j < kWordStore; ++j) {
+      table[i].bytes[j] = j < kWords[i].size() ? kWords[i][j] : ' ';
+    }
+    table[i].size = static_cast<uint8_t>(kWords[i].size());
   }
-  return kWords[rng.Below(kNumWords)];
+  return table;
 }
 
-void AppendWordStream(std::span<uint8_t> page, Rng& rng, bool zipf, size_t repeat_window) {
-  size_t pos = 0;
-  std::vector<std::string_view> recent;
-  while (pos < page.size()) {
-    std::string_view w;
-    if (repeat_window > 0 && !recent.empty() && rng.Chance(0.6)) {
-      w = recent[rng.Below(recent.size())];  // repeat a recently used word
-    } else {
-      w = PickWord(rng, zipf);
-      if (repeat_window > 0) {
-        recent.push_back(w);
-        if (recent.size() > repeat_window) {
-          recent.erase(recent.begin());
-        }
-      }
+constexpr bool EveryWordAndSeparatorFit() {
+  for (const std::string_view w : kWords) {
+    if (w.size() + 1 > kWordStore) {
+      return false;
     }
-    for (char ch : w) {
-      if (pos >= page.size()) {
+  }
+  return true;
+}
+static_assert(EveryWordAndSeparatorFit(), "a padded store must cover word + separator");
+
+constexpr std::array<PaddedWord, kNumWords> kPaddedWords = MakePaddedWords();
+
+// The recent-word window of kRepetitiveText.
+constexpr size_t kMaxRepeatWindow = 4;
+
+// Index of a word drawn with Zipf-ish frequency: squaring a uniform draw skews
+// toward low indices (frequent words).
+size_t PickWord(Rng& rng) {
+  const double u = rng.NextDouble();
+  const auto idx = static_cast<size_t>(u * u * static_cast<double>(kNumWords));
+  return idx < kNumWords ? idx : kNumWords - 1;
+}
+
+// Writes a space-separated word stream over all of `page`. With
+// repeat_window > 0, each word after the first repeats one of the last
+// `repeat_window` freshly picked words with probability 0.6.
+//
+// While a whole padded word fits (pos + kWordStore <= size), each word and its
+// separator go out in one kWordStore-byte store; the padding past the
+// separator lands inside the page and is overwritten by the words after it,
+// since every later byte up to the end is written again. The last words
+// take the bytewise loop, which truncates the final word at the page end and
+// writes its separator only if there is room. Both loops draw from `rng` in
+// the same order, so the bytes and the stream match a bytewise fill exactly.
+void AppendWordStream(std::span<uint8_t> page, Rng& rng, size_t repeat_window) {
+  CC_EXPECTS(repeat_window <= kMaxRepeatWindow);
+  uint8_t* const out = page.data();
+  const size_t n = page.size();
+  size_t recent[kMaxRepeatWindow] = {};
+  size_t recent_count = 0;
+  const auto next_word = [&]() -> const PaddedWord& {
+    if (recent_count > 0 && rng.Chance(0.6)) {
+      return kPaddedWords[recent[rng.Below(recent_count)]];  // repeat a recent word
+    }
+    const size_t w = PickWord(rng);
+    if (repeat_window > 0) {
+      if (recent_count == repeat_window) {
+        // Full: drop the oldest, as the window slides.
+        for (size_t i = 1; i < recent_count; ++i) {
+          recent[i - 1] = recent[i];
+        }
+        --recent_count;
+      }
+      recent[recent_count++] = w;
+    }
+    return kPaddedWords[w];
+  };
+
+  size_t pos = 0;
+  while (pos + kWordStore <= n) {
+    const PaddedWord& w = next_word();
+    std::memcpy(out + pos, w.bytes, kWordStore);
+    pos += w.size + size_t{1};
+  }
+  while (pos < n) {
+    const PaddedWord& w = next_word();
+    for (size_t i = 0; i < w.size; ++i) {
+      if (pos >= n) {
         return;
       }
-      page[pos++] = static_cast<uint8_t>(ch);
+      out[pos++] = static_cast<uint8_t>(w.bytes[i]);
     }
-    if (pos < page.size()) {
-      page[pos++] = ' ';
+    if (pos < n) {
+      out[pos++] = ' ';
     }
   }
 }
@@ -110,10 +172,10 @@ void FillPage(std::span<uint8_t> page, ContentClass cls, Rng& rng) {
       return;
     }
     case ContentClass::kRepetitiveText:
-      AppendWordStream(page, rng, /*zipf=*/true, /*repeat_window=*/4);
+      AppendWordStream(page, rng, /*repeat_window=*/kMaxRepeatWindow);
       return;
     case ContentClass::kText:
-      AppendWordStream(page, rng, /*zipf=*/true, /*repeat_window=*/0);
+      AppendWordStream(page, rng, /*repeat_window=*/0);
       return;
     case ContentClass::kShuffledWords: {
       // Distinct word-like strings of near-random letters emulate the unsorted

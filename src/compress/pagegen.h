@@ -29,7 +29,13 @@ enum class ContentClass {
 std::vector<ContentClass> AllContentClasses();
 std::string_view ContentClassName(ContentClass c);
 
-// Fills `page` with content of the given class. Deterministic given the Rng state.
+// Fills `page` with content of the given class. Deterministic given the Rng
+// state: the bytes written and the draws consumed depend only on the class,
+// the page length and the stream, and are pinned by a golden table in
+// compress_test. The text classes store each word padded to 16 bytes with one
+// fixed-size copy while a whole padded word fits, then finish bytewise, and
+// never write outside `page`; sparse-numeric pages draw their 25% slot
+// occupancy with Rng::Chance's folded integer threshold.
 void FillPage(std::span<uint8_t> page, ContentClass cls, Rng& rng);
 
 // Measures the LZRW1 compression ratio (original/compressed) of a buffer.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "util/assert.h"
@@ -20,7 +21,8 @@ PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
       ccache_(ccache),
       write_behind_(write_behind),
       options_(options),
-      predictor_(options.predictor_seed) {
+      predictor_(options.predictor_seed),
+      candidates_(static_cast<size_t>(options.prefetch_per_fault) * 2) {
   CC_EXPECTS(clock_ != nullptr);
   CC_EXPECTS(costs_ != nullptr);
   CC_EXPECTS(frames_ != nullptr);
@@ -206,12 +208,9 @@ void PipelineEngine::OnFault(PageKey key, FaultOrigin origin) {
   if (options_.prefetch_per_fault == 0) {
     return;
   }
-  // Ask for a few extra candidates: some predictions are already resident or
-  // buffered and get filtered out.
-  const auto predicted =
-      predictor_.Predict(static_cast<size_t>(options_.prefetch_per_fault) * 2);
+  const size_t predicted = predictor_.Predict(candidates_);
   uint32_t issued = 0;
-  for (const PageKey candidate : predicted) {
+  for (const PageKey candidate : std::span(candidates_).first(predicted)) {
     if (issued >= options_.prefetch_per_fault) {
       break;
     }

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "ccache/compression_cache.h"
 #include "sim/clock.h"
@@ -147,6 +148,9 @@ class PipelineEngine : public PagePrefetcher {
   PipelineOptions options_;
 
   FaultPredictor predictor_;
+  // Candidate buffer for predictor_.Predict, sized once: a few more than
+  // prefetch_per_fault, since some candidates are resident or buffered.
+  std::vector<PageKey> candidates_;
   std::unordered_map<PageKey, Entry, PageKeyHash> buffer_;
   std::deque<PageKey> order_;  // issue order, oldest first
   // Background timeline: speculative decompression is serialized on a single

@@ -36,7 +36,9 @@ FaultInjector::FaultInjector(uint64_t seed) {
 void FaultInjector::SetSchedule(FaultSite site, FaultSchedule schedule) {
   CC_EXPECTS(schedule.probability >= 0.0 && schedule.probability <= 1.0);
   std::sort(schedule.fail_ops.begin(), schedule.fail_ops.end());
-  sites_[Index(site)].schedule = std::move(schedule);
+  SiteState& s = sites_[Index(site)];
+  s.chance_threshold = Rng::ChanceThreshold(schedule.probability);
+  s.schedule = std::move(schedule);
 }
 
 bool FaultInjector::ShouldFault(FaultSite site) {
@@ -49,7 +51,7 @@ bool FaultInjector::ShouldFault(FaultSite site) {
   }
   // Draw only when a probability is configured so that nth-op schedules leave
   // the site's RNG stream untouched.
-  if (s.schedule.probability > 0.0 && s.rng.Chance(s.schedule.probability)) {
+  if (s.schedule.probability > 0.0 && s.rng.ChanceBelow(s.chance_threshold)) {
     fault = true;
   }
   if (fault) {

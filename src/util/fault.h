@@ -90,6 +90,8 @@ class FaultInjector {
  private:
   struct SiteState {
     FaultSchedule schedule;
+    // Rng::ChanceThreshold(schedule.probability), computed once per schedule.
+    uint64_t chance_threshold = 0;
     Rng rng{0};
     uint64_t ops = 0;
     uint64_t injected = 0;

@@ -62,12 +62,40 @@ class Rng {
     return lo + static_cast<int64_t>(Below(static_cast<uint64_t>(hi - lo) + 1));
   }
 
-  // Uniform double in [0, 1).
+  // Uniform double in [0, 1): the top 53 bits of Next(), scaled by 2^-53.
   double NextDouble() {
     return static_cast<double>(Next() >> 11) * 0x1.0p-53;
   }
 
-  bool Chance(double p) { return NextDouble() < p; }
+  // Bernoulli draw: true with probability p. Consumes exactly one Next() for
+  // every p and returns exactly what `NextDouble() < p` would, but as an
+  // integer compare of the same 53 bits against ChanceThreshold(p). With a
+  // constant p the threshold folds at compile time, so the draw costs a shift
+  // and a compare.
+  bool Chance(double p) { return ChanceBelow(ChanceThreshold(p)); }
+
+  // Chance() against a threshold computed once by ChanceThreshold(), for
+  // callers whose p is a runtime value reused across many draws.
+  bool ChanceBelow(uint64_t threshold) { return (Next() >> 11) < threshold; }
+
+  // T(p) = ceil(p * 2^53), clamped to [0, 2^53]. For integer x in [0, 2^53),
+  // x * 2^-53 < p  <=>  x < p * 2^53  <=>  x < ceil(p * 2^53): the double
+  // x * 2^-53 is exact (x has at most 53 significant bits), and so is the
+  // product p * 2^53 (scaling by a power of two below the overflow range), so
+  // the integer compare decides exactly what the double compare decides.
+  // p <= 0 and NaN give 0 (never true); p >= 1 gives 2^53 (always true); no
+  // out-of-range double is ever converted to an integer.
+  static constexpr uint64_t ChanceThreshold(double p) {
+    if (!(p > 0.0)) {
+      return 0;
+    }
+    if (p >= 1.0) {
+      return uint64_t{1} << 53;
+    }
+    const double scaled = p * 0x1.0p53;  // in (0, 2^53), exact
+    const auto whole = static_cast<uint64_t>(scaled);
+    return static_cast<double>(whole) < scaled ? whole + 1 : whole;
+  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

@@ -10,22 +10,24 @@ namespace compcache {
 void FaultPredictor::RecordFault(PageKey key) {
   // Markov: count `key` as a successor of the previous fault.
   if (has_fault_ && !(last_fault_ == key)) {
-    std::vector<Successor>& succ = markov_[last_fault_];
-    auto it = std::find_if(succ.begin(), succ.end(),
-                           [&](const Successor& s) { return s.key == key; });
-    if (it != succ.end()) {
+    Successors& succ = markov_[last_fault_];
+    Successor* const begin = succ.entries.data();
+    Successor* const end = begin + succ.size;
+    Successor* it =
+        std::find_if(begin, end, [&](const Successor& s) { return s.key == key; });
+    if (it != end) {
       ++it->count;
-      // Keep the vector ordered by count (descending, stable) so prediction
+      // Keep the entries ordered by count (descending, stable) so prediction
       // is a prefix scan.
-      while (it != succ.begin() && (it - 1)->count < it->count) {
+      while (it != begin && (it - 1)->count < it->count) {
         std::iter_swap(it - 1, it);
         --it;
       }
-    } else if (succ.size() < kMaxSuccessors) {
-      succ.push_back(Successor{key, 1});
+    } else if (succ.size < kMaxSuccessors) {
+      succ.entries[succ.size++] = Successor{key, 1};
     } else {
       // Table full: age the weakest entry; replace it once it decays to zero.
-      Successor& weakest = succ.back();
+      Successor& weakest = succ.entries[kMaxSuccessors - 1];
       if (weakest.count <= 1) {
         weakest = Successor{key, 1};
       } else {
@@ -53,18 +55,20 @@ void FaultPredictor::RecordFault(PageKey key) {
   has_fault_ = true;
 }
 
-std::vector<PageKey> FaultPredictor::Predict(size_t max) {
-  std::vector<PageKey> out;
+size_t FaultPredictor::Predict(std::span<PageKey> out) {
+  const size_t max = out.size();
+  size_t count = 0;
   if (!has_fault_ || max == 0) {
-    return out;
+    return count;
   }
 
   const auto push_unique = [&](PageKey key) {
     if (key == last_fault_) {
       return;
     }
-    if (std::find(out.begin(), out.end(), key) == out.end()) {
-      out.push_back(key);
+    const std::span<PageKey> filled = out.first(count);
+    if (std::find(filled.begin(), filled.end(), key) == filled.end()) {
+      out[count++] = key;
     }
   };
 
@@ -72,40 +76,40 @@ std::vector<PageKey> FaultPredictor::Predict(size_t max) {
   const auto sit = streams_.find(last_fault_.segment);
   if (sit != streams_.end() && sit->second.confirmed) {
     int64_t page = static_cast<int64_t>(sit->second.last_page);
-    while (out.size() < max) {
+    while (count < max) {
       page += sit->second.delta;
       if (page < 0 || page > static_cast<int64_t>(UINT32_MAX)) {
         break;
       }
       push_unique(PageKey{last_fault_.segment, static_cast<uint32_t>(page)});
     }
-    return out;
+    return count;
   }
 
   // Markov fallback: chain the most frequent successors. A tie among equally
   // frequent candidates is broken by a seeded draw — deterministic per seed.
   PageKey cursor = last_fault_;
-  while (out.size() < max) {
+  while (count < max) {
     const auto mit = markov_.find(cursor);
-    if (mit == markov_.end() || mit->second.empty()) {
+    if (mit == markov_.end() || mit->second.size == 0) {
       break;
     }
-    const std::vector<Successor>& succ = mit->second;
-    const uint32_t best = succ.front().count;
+    const Successors& succ = mit->second;
+    const uint32_t best = succ.entries[0].count;
     size_t tied = 1;
-    while (tied < succ.size() && succ[tied].count == best) {
+    while (tied < succ.size && succ.entries[tied].count == best) {
       ++tied;
     }
     const PageKey pick =
-        succ[tied == 1 ? 0 : static_cast<size_t>(rng_.Below(tied))].key;
-    const size_t before = out.size();
+        succ.entries[tied == 1 ? 0 : static_cast<size_t>(rng_.Below(tied))].key;
+    const size_t before = count;
     push_unique(pick);
-    if (out.size() == before) {
+    if (count == before) {
       break;  // already predicted (cycle) — stop rather than loop
     }
     cursor = pick;
   }
-  return out;
+  return count;
 }
 
 }  // namespace compcache

@@ -11,9 +11,11 @@
 #ifndef COMPCACHE_VM_FAULT_PREDICTOR_H_
 #define COMPCACHE_VM_FAULT_PREDICTOR_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "util/rng.h"
 #include "vm/page_key.h"
@@ -27,9 +29,11 @@ class FaultPredictor {
   // Feeds one fault into the stride and Markov state.
   void RecordFault(PageKey key);
 
-  // Predicts up to `max` distinct next pages, most confident first, never
-  // including the page just faulted. May return fewer (cold state).
-  std::vector<PageKey> Predict(size_t max);
+  // Writes up to out.size() distinct predicted next pages into `out`, most
+  // confident first, never including the page just faulted, and returns how
+  // many it wrote. May write fewer (cold state). The caller owns the buffer,
+  // so a prediction allocates nothing.
+  size_t Predict(std::span<PageKey> out);
 
   // Introspection for tests.
   bool stride_confirmed(uint32_t segment) const {
@@ -56,17 +60,22 @@ class FaultPredictor {
     bool has_last = false;
     bool confirmed = false;
   };
-  // Markov successors of one page, counted. Kept tiny (kMaxSuccessors) and
-  // ordered by count so prediction is a scan of a short vector.
+  // Markov successors of one page, counted. Kept tiny (kMaxSuccessors),
+  // inline in the table entry, and ordered by count so prediction is a scan
+  // of a short array.
   struct Successor {
     PageKey key;
     uint32_t count = 0;
   };
   static constexpr size_t kMaxSuccessors = 4;
+  struct Successors {
+    std::array<Successor, kMaxSuccessors> entries;
+    size_t size = 0;
+  };
 
   std::unordered_map<uint32_t, Stream> streams_;
   // fault key -> counted successors (the fault observed right after it).
-  std::unordered_map<PageKey, std::vector<Successor>, PageKeyHash> markov_;
+  std::unordered_map<PageKey, Successors, PageKeyHash> markov_;
   PageKey last_fault_;
   bool has_fault_ = false;
   Rng rng_;

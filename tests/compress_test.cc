@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,6 +21,7 @@
 #include "compress/store.h"
 #include "compress/wk.h"
 #include "compress/threshold.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -516,6 +518,269 @@ TEST(PagegenTest, CompressibilityOrdering) {
   }
   for (size_t i = 1; i < sizes.size(); ++i) {
     EXPECT_LE(sizes[i - 1], sizes[i] * 1.05) << "class order " << i;
+  }
+}
+
+// Golden output of FillPage, recorded from the bytewise generator: for each
+// class, seed and length, the CRC-32C of the filled bytes and the Rng's next
+// Next() after the fill. A generator kernel must write the same bytes and
+// consume the same draws. The lengths straddle the word stream's 16-byte store
+// (15, 16, 17, 31, 2031, 2032) and end a page mid-word and mid-slot.
+struct GoldenFill {
+  ContentClass cls;
+  uint64_t seed;
+  size_t length;
+  uint32_t crc;
+  uint64_t next_draw;
+};
+
+constexpr GoldenFill kGoldenFills[] = {
+    {ContentClass::kZero, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 1, 0x527d5351u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 15, 0x530ed410u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 16, 0x42709aeau, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 17, 0xdaeda3e9u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 31, 0x1ed37c4bu, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 777, 0x828d8833u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 2031, 0x3d902ed6u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 2032, 0xa732c53cu, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 4095, 0x23bbddb9u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 1, 4096, 0x98f94189u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kZero, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 1, 0x527d5351u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 15, 0x530ed410u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 16, 0x42709aeau, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 17, 0xdaeda3e9u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 31, 0x1ed37c4bu, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 777, 0x828d8833u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 2031, 0x3d902ed6u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 2032, 0xa732c53cu, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 4095, 0x23bbddb9u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 42, 4096, 0x98f94189u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kZero, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 1, 0x527d5351u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 15, 0x530ed410u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 16, 0x42709aeau, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 17, 0xdaeda3e9u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 31, 0x1ed37c4bu, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 777, 0x828d8833u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 2031, 0x3d902ed6u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 2032, 0xa732c53cu, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 4095, 0x23bbddb9u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kZero, 1993, 4096, 0x98f94189u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kSparseNumeric, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kSparseNumeric, 1, 1, 0x527d5351u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kSparseNumeric, 1, 15, 0x530ed410u, 0x642e1c7bc266a3a7ull},
+    {ContentClass::kSparseNumeric, 1, 16, 0x42709aeau, 0xb27a48e29a233673ull},
+    {ContentClass::kSparseNumeric, 1, 17, 0xdaeda3e9u, 0xb27a48e29a233673ull},
+    {ContentClass::kSparseNumeric, 1, 31, 0xd2da138eu, 0xddfdb48ab9ed4a21ull},
+    {ContentClass::kSparseNumeric, 1, 777, 0x6ba7f61eu, 0x8cf09a8e36e14f6cull},
+    {ContentClass::kSparseNumeric, 1, 2031, 0x210e4da7u, 0x09013f154a2173abull},
+    {ContentClass::kSparseNumeric, 1, 2032, 0x5af9de86u, 0xd4d037b8451d120eull},
+    {ContentClass::kSparseNumeric, 1, 4095, 0xcedb2627u, 0xeb8113ac05e6d161ull},
+    {ContentClass::kSparseNumeric, 1, 4096, 0xa6c46242u, 0x8b1c04195a8a8b79ull},
+    {ContentClass::kSparseNumeric, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kSparseNumeric, 42, 1, 0x527d5351u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kSparseNumeric, 42, 15, 0xca77bb43u, 0xfde6dc7fe2ec5e64ull},
+    {ContentClass::kSparseNumeric, 42, 16, 0x009ccaa2u, 0xc50da53101795238ull},
+    {ContentClass::kSparseNumeric, 42, 17, 0x110d0acau, 0xc50da53101795238ull},
+    {ContentClass::kSparseNumeric, 42, 31, 0xf0bbb27au, 0xc2e96e726e97647eull},
+    {ContentClass::kSparseNumeric, 42, 777, 0xa5f0a176u, 0xc90469b55ef22636ull},
+    {ContentClass::kSparseNumeric, 42, 2031, 0xfb08728fu, 0x053a9c2feb038cbdull},
+    {ContentClass::kSparseNumeric, 42, 2032, 0x96aaa469u, 0xd0799f508afae3dfull},
+    {ContentClass::kSparseNumeric, 42, 4095, 0x8ad4909cu, 0x8deaab716c115e69ull},
+    {ContentClass::kSparseNumeric, 42, 4096, 0x8d1cb406u, 0x594530973238ebfdull},
+    {ContentClass::kSparseNumeric, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kSparseNumeric, 1993, 1, 0x527d5351u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kSparseNumeric, 1993, 15, 0x530ed410u, 0x6b53d94ab435a327ull},
+    {ContentClass::kSparseNumeric, 1993, 16, 0x42709aeau, 0x44185ee8a9ab4d87ull},
+    {ContentClass::kSparseNumeric, 1993, 17, 0xdaeda3e9u, 0x44185ee8a9ab4d87ull},
+    {ContentClass::kSparseNumeric, 1993, 31, 0x1ed37c4bu, 0x7dfbf2f35758525eull},
+    {ContentClass::kSparseNumeric, 1993, 777, 0x624ce3a2u, 0xbc30ec5cbecc906full},
+    {ContentClass::kSparseNumeric, 1993, 2031, 0xc3885b8eu, 0xd8b94e14717c6506ull},
+    {ContentClass::kSparseNumeric, 1993, 2032, 0x7c305f55u, 0xc08141cab86edf71ull},
+    {ContentClass::kSparseNumeric, 1993, 4095, 0x83e47556u, 0x328949642c4cf3b7ull},
+    {ContentClass::kSparseNumeric, 1993, 4096, 0x848c9aa9u, 0x1f418eb320f26791ull},
+    {ContentClass::kRepetitiveText, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kRepetitiveText, 1, 1, 0xd280b0c4u, 0x853b559647364ceaull},
+    {ContentClass::kRepetitiveText, 1, 15, 0x7d8548c6u, 0x642e1c7bc266a3a7ull},
+    {ContentClass::kRepetitiveText, 1, 16, 0x979199ebu, 0x642e1c7bc266a3a7ull},
+    {ContentClass::kRepetitiveText, 1, 17, 0xa8ae227cu, 0x24c123126ffda722ull},
+    {ContentClass::kRepetitiveText, 1, 31, 0xc9b18396u, 0x61954dcc47b1e89dull},
+    {ContentClass::kRepetitiveText, 1, 777, 0x3a8071c4u, 0x35d814a63763779aull},
+    {ContentClass::kRepetitiveText, 1, 2031, 0x343f0537u, 0x33d65bda30b3ae52ull},
+    {ContentClass::kRepetitiveText, 1, 2032, 0x5d7f8aa3u, 0x33d65bda30b3ae52ull},
+    {ContentClass::kRepetitiveText, 1, 4095, 0xac87fb0fu, 0x3afb3280b491ef21ull},
+    {ContentClass::kRepetitiveText, 1, 4096, 0x2c7f6650u, 0x3afb3280b491ef21ull},
+    {ContentClass::kRepetitiveText, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kRepetitiveText, 42, 1, 0xe47f9043u, 0x6104d9866d113a7eull},
+    {ContentClass::kRepetitiveText, 42, 15, 0x7b54f217u, 0xc50da53101795238ull},
+    {ContentClass::kRepetitiveText, 42, 16, 0x7d8d6f8au, 0xc50da53101795238ull},
+    {ContentClass::kRepetitiveText, 42, 17, 0xb23e42bfu, 0xc50da53101795238ull},
+    {ContentClass::kRepetitiveText, 42, 31, 0x9b3269e9u, 0x9556615f775fbc3dull},
+    {ContentClass::kRepetitiveText, 42, 777, 0xda757cbdu, 0x96e22dc8bda3add8ull},
+    {ContentClass::kRepetitiveText, 42, 2031, 0x8c679e64u, 0x1a0805f1224855dbull},
+    {ContentClass::kRepetitiveText, 42, 2032, 0xedd9781cu, 0x1a0805f1224855dbull},
+    {ContentClass::kRepetitiveText, 42, 4095, 0xe452b455u, 0xe6d6f9d3e6d6e135ull},
+    {ContentClass::kRepetitiveText, 42, 4096, 0x16f041f4u, 0xe6d6f9d3e6d6e135ull},
+    {ContentClass::kRepetitiveText, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kRepetitiveText, 1993, 1, 0xe47f9043u, 0xfeb820c7da181539ull},
+    {ContentClass::kRepetitiveText, 1993, 15, 0x3ec32beau, 0xcd1ea7983c4ab35dull},
+    {ContentClass::kRepetitiveText, 1993, 16, 0x318edbf5u, 0xcd1ea7983c4ab35dull},
+    {ContentClass::kRepetitiveText, 1993, 17, 0x077eb682u, 0xcd1ea7983c4ab35dull},
+    {ContentClass::kRepetitiveText, 1993, 31, 0x48c8810bu, 0xfbc40b058c29794cull},
+    {ContentClass::kRepetitiveText, 1993, 777, 0x5757d265u, 0x8a6e994e2129da48ull},
+    {ContentClass::kRepetitiveText, 1993, 2031, 0xd1c99825u, 0x43bb324bd3220071ull},
+    {ContentClass::kRepetitiveText, 1993, 2032, 0xacffcba6u, 0x43bb324bd3220071ull},
+    {ContentClass::kRepetitiveText, 1993, 4095, 0xdc4a575au, 0x026207a3aafb7321ull},
+    {ContentClass::kRepetitiveText, 1993, 4096, 0x48db6533u, 0x026207a3aafb7321ull},
+    {ContentClass::kText, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kText, 1, 1, 0xd280b0c4u, 0x853b559647364ceaull},
+    {ContentClass::kText, 1, 15, 0xe8116253u, 0x92f89756082a4514ull},
+    {ContentClass::kText, 1, 16, 0x7228ccedu, 0x92f89756082a4514ull},
+    {ContentClass::kText, 1, 17, 0x2eaa118au, 0x92f89756082a4514ull},
+    {ContentClass::kText, 1, 31, 0x7f50f4bau, 0x24c123126ffda722ull},
+    {ContentClass::kText, 1, 777, 0xc611d5e5u, 0x7aaa89a3ce7ed856ull},
+    {ContentClass::kText, 1, 2031, 0x7c2fdf8fu, 0xc5b72e8afd93e37aull},
+    {ContentClass::kText, 1, 2032, 0x1d496bb3u, 0xc5b72e8afd93e37aull},
+    {ContentClass::kText, 1, 4095, 0x676e57d8u, 0x0fef1dea2f6cfaf4ull},
+    {ContentClass::kText, 1, 4096, 0xbd124770u, 0x0fef1dea2f6cfaf4ull},
+    {ContentClass::kText, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kText, 42, 1, 0xe47f9043u, 0x6104d9866d113a7eull},
+    {ContentClass::kText, 42, 15, 0x8419cef4u, 0xecb8ad4703b360a1ull},
+    {ContentClass::kText, 42, 16, 0xabb39eb0u, 0xecb8ad4703b360a1ull},
+    {ContentClass::kText, 42, 17, 0x56c15114u, 0xecb8ad4703b360a1ull},
+    {ContentClass::kText, 42, 31, 0xd534e10fu, 0xc50da53101795238ull},
+    {ContentClass::kText, 42, 777, 0x46c8b041u, 0xcada6911826c7b15ull},
+    {ContentClass::kText, 42, 2031, 0xdc5aee95u, 0x519fb48b9a4691e3ull},
+    {ContentClass::kText, 42, 2032, 0x3846cdf1u, 0x519fb48b9a4691e3ull},
+    {ContentClass::kText, 42, 4095, 0x6b14b634u, 0xde432f7b8eadf0f4ull},
+    {ContentClass::kText, 42, 4096, 0x68d1b50cu, 0xde432f7b8eadf0f4ull},
+    {ContentClass::kText, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kText, 1993, 1, 0xe47f9043u, 0xfeb820c7da181539ull},
+    {ContentClass::kText, 1993, 15, 0x7d852372u, 0xc87838de7c35927cull},
+    {ContentClass::kText, 1993, 16, 0xcb897d49u, 0xc87838de7c35927cull},
+    {ContentClass::kText, 1993, 17, 0x4bc29282u, 0xc87838de7c35927cull},
+    {ContentClass::kText, 1993, 31, 0x92d50c0bu, 0x44185ee8a9ab4d87ull},
+    {ContentClass::kText, 1993, 777, 0xfbea1bcau, 0xec4e3e6177fe7eadull},
+    {ContentClass::kText, 1993, 2031, 0xdf91db4au, 0x7036dd5cd012d3b4ull},
+    {ContentClass::kText, 1993, 2032, 0xce39341cu, 0x7036dd5cd012d3b4ull},
+    {ContentClass::kText, 1993, 4095, 0xb821aff1u, 0xdcc7c737eb13aea3ull},
+    {ContentClass::kText, 1993, 4096, 0x2156fe1eu, 0xdcc7c737eb13aea3ull},
+    {ContentClass::kShuffledWords, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kShuffledWords, 1, 1, 0x9fc37f14u, 0x92f89756082a4514ull},
+    {ContentClass::kShuffledWords, 1, 15, 0x4160ca4au, 0x1498c2c122087c87ull},
+    {ContentClass::kShuffledWords, 1, 16, 0x0a336689u, 0x7dc9c3c6cd31382full},
+    {ContentClass::kShuffledWords, 1, 17, 0x76dd5f32u, 0x0bbadedec37361c0ull},
+    {ContentClass::kShuffledWords, 1, 31, 0xd7ef6d8bu, 0xe1995e69b98a91ecull},
+    {ContentClass::kShuffledWords, 1, 777, 0xb49e860au, 0xf02a65b278524465ull},
+    {ContentClass::kShuffledWords, 1, 2031, 0x4c4d9585u, 0x7cdcc90d5bde5699ull},
+    {ContentClass::kShuffledWords, 1, 2032, 0x3bd8ee11u, 0x0692e8be2bff11ceull},
+    {ContentClass::kShuffledWords, 1, 4095, 0xc017b073u, 0x378a801ea385ce09ull},
+    {ContentClass::kShuffledWords, 1, 4096, 0x77129792u, 0xab696a089739ef7eull},
+    {ContentClass::kShuffledWords, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kShuffledWords, 42, 1, 0x5859e80bu, 0xae17533239e499a1ull},
+    {ContentClass::kShuffledWords, 42, 15, 0x88df378eu, 0x9de4159eda9cef95ull},
+    {ContentClass::kShuffledWords, 42, 16, 0x5cc686e7u, 0x9de4159eda9cef95ull},
+    {ContentClass::kShuffledWords, 42, 17, 0xc08969c0u, 0xb5215f43ed431a77ull},
+    {ContentClass::kShuffledWords, 42, 31, 0xd4f4e546u, 0xdcf83ab9a2b09168ull},
+    {ContentClass::kShuffledWords, 42, 777, 0xa395f04cu, 0x08cb8dace96a23d0ull},
+    {ContentClass::kShuffledWords, 42, 2031, 0x09ef2193u, 0x50791e24ac4ade89ull},
+    {ContentClass::kShuffledWords, 42, 2032, 0xcaf8fb3du, 0x44a0f713ddee30c4ull},
+    {ContentClass::kShuffledWords, 42, 4095, 0x93721ab7u, 0xcb5a8f9650a14fddull},
+    {ContentClass::kShuffledWords, 42, 4096, 0x70587778u, 0x3ec9bee56b8c8f6full},
+    {ContentClass::kShuffledWords, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kShuffledWords, 1993, 1, 0x48072f64u, 0xc87838de7c35927cull},
+    {ContentClass::kShuffledWords, 1993, 15, 0xc1c83ddbu, 0x888c04274ffdbe36ull},
+    {ContentClass::kShuffledWords, 1993, 16, 0x4cd15682u, 0x6f9f90f2feb47d1bull},
+    {ContentClass::kShuffledWords, 1993, 17, 0x1d79953au, 0xb5d5f91b5b0a9eefull},
+    {ContentClass::kShuffledWords, 1993, 31, 0xede33ce6u, 0xb3dec018b7c03949ull},
+    {ContentClass::kShuffledWords, 1993, 777, 0xfe4fff36u, 0x8972dde298450b31ull},
+    {ContentClass::kShuffledWords, 1993, 2031, 0xd6efbd7eu, 0xf052f402e6a00a5eull},
+    {ContentClass::kShuffledWords, 1993, 2032, 0x8661d807u, 0x9f9eedce6a58ab02ull},
+    {ContentClass::kShuffledWords, 1993, 4095, 0x8e97a479u, 0xdfb2ef10fa8fbed6ull},
+    {ContentClass::kShuffledWords, 1993, 4096, 0xfe8b7bd2u, 0x110b171924293bd2ull},
+    {ContentClass::kPointerArray, 1, 0, 0x00000001u, 0x853b559647364ceaull},
+    {ContentClass::kPointerArray, 1, 1, 0x527d5351u, 0x853b559647364ceaull},
+    {ContentClass::kPointerArray, 1, 15, 0xede92964u, 0xb27a48e29a233673ull},
+    {ContentClass::kPointerArray, 1, 16, 0x24c61176u, 0x24c123126ffda722ull},
+    {ContentClass::kPointerArray, 1, 17, 0x056026a5u, 0x24c123126ffda722ull},
+    {ContentClass::kPointerArray, 1, 31, 0xa7c48142u, 0xddfdb48ab9ed4a21ull},
+    {ContentClass::kPointerArray, 1, 777, 0x637fccbau, 0xe666ef4badc31569ull},
+    {ContentClass::kPointerArray, 1, 2031, 0xca08aeeeu, 0x7017884799222b2dull},
+    {ContentClass::kPointerArray, 1, 2032, 0xb4d4772bu, 0xff5d686ffeccee38ull},
+    {ContentClass::kPointerArray, 1, 4095, 0x514a664eu, 0x56707a467c2afea7ull},
+    {ContentClass::kPointerArray, 1, 4096, 0x1bd19da2u, 0x440ce5cab21a6b28ull},
+    {ContentClass::kPointerArray, 42, 0, 0x00000001u, 0x6104d9866d113a7eull},
+    {ContentClass::kPointerArray, 42, 1, 0x527d5351u, 0x6104d9866d113a7eull},
+    {ContentClass::kPointerArray, 42, 15, 0xa3986a27u, 0xfde6dc7fe2ec5e64ull},
+    {ContentClass::kPointerArray, 42, 16, 0xf20943ceu, 0xc50da53101795238ull},
+    {ContentClass::kPointerArray, 42, 17, 0x3d7ac3f1u, 0xc50da53101795238ull},
+    {ContentClass::kPointerArray, 42, 31, 0x61baa814u, 0xc2e96e726e97647eull},
+    {ContentClass::kPointerArray, 42, 777, 0x6ab67f41u, 0xc0ef7475b2d23126ull},
+    {ContentClass::kPointerArray, 42, 2031, 0x278e078au, 0x93aa6f5b852e61d6ull},
+    {ContentClass::kPointerArray, 42, 2032, 0x94d5ded1u, 0xbe93fcd025b8f2ffull},
+    {ContentClass::kPointerArray, 42, 4095, 0x59f002e7u, 0x006aea883bcc0b80ull},
+    {ContentClass::kPointerArray, 42, 4096, 0xf2981305u, 0x94645fb5fabf4e58ull},
+    {ContentClass::kPointerArray, 1993, 0, 0x00000001u, 0xfeb820c7da181539ull},
+    {ContentClass::kPointerArray, 1993, 1, 0x527d5351u, 0xfeb820c7da181539ull},
+    {ContentClass::kPointerArray, 1993, 15, 0x6da019cbu, 0x44185ee8a9ab4d87ull},
+    {ContentClass::kPointerArray, 1993, 16, 0xce1aaa1au, 0xcd1ea7983c4ab35dull},
+    {ContentClass::kPointerArray, 1993, 17, 0x290fa6acu, 0xcd1ea7983c4ab35dull},
+    {ContentClass::kPointerArray, 1993, 31, 0xd093ed86u, 0xeea3c468a3681e7bull},
+    {ContentClass::kPointerArray, 1993, 777, 0xe0fc45fau, 0x20064cc414c5d737ull},
+    {ContentClass::kPointerArray, 1993, 2031, 0x55ae84f5u, 0x4a75303cf03c9da0ull},
+    {ContentClass::kPointerArray, 1993, 2032, 0x973500bfu, 0xa3e4a28ae5868ce8ull},
+    {ContentClass::kPointerArray, 1993, 4095, 0x4a645017u, 0x30c92e51f2286cf0ull},
+    {ContentClass::kPointerArray, 1993, 4096, 0x66a2a146u, 0x04b5c3af4329b12full},
+    {ContentClass::kRandom, 1, 0, 0x00000001u, 0xb3f2af6d0fc710c5ull},
+    {ContentClass::kRandom, 1, 1, 0xa4016189u, 0x853b559647364ceaull},
+    {ContentClass::kRandom, 1, 15, 0x15337247u, 0xe3fa941b05219325ull},
+    {ContentClass::kRandom, 1, 16, 0xd29583b6u, 0x1498c2c122087c87ull},
+    {ContentClass::kRandom, 1, 17, 0x90270c60u, 0x7dc9c3c6cd31382full},
+    {ContentClass::kRandom, 1, 31, 0xa7136d1du, 0xe1995e69b98a91ecull},
+    {ContentClass::kRandom, 1, 777, 0xdde4980au, 0x2106baabb20db884ull},
+    {ContentClass::kRandom, 1, 2031, 0x60a42351u, 0x7101387667503d70ull},
+    {ContentClass::kRandom, 1, 2032, 0x80cbfaafu, 0x7cdcc90d5bde5699ull},
+    {ContentClass::kRandom, 1, 4095, 0x6beef490u, 0x46e3d001fcbcd506ull},
+    {ContentClass::kRandom, 1, 4096, 0xe61fa65au, 0x378a801ea385ce09ull},
+    {ContentClass::kRandom, 42, 0, 0x00000001u, 0x15780b2e0c2ec716ull},
+    {ContentClass::kRandom, 42, 1, 0x648273d6u, 0x6104d9866d113a7eull},
+    {ContentClass::kRandom, 42, 15, 0x8d6a635fu, 0xe0b55a68b96677faull},
+    {ContentClass::kRandom, 42, 16, 0xc54a9888u, 0x9de4159eda9cef95ull},
+    {ContentClass::kRandom, 42, 17, 0xfdce9275u, 0xd9f4b354ec3844d4ull},
+    {ContentClass::kRandom, 42, 31, 0x6d7acfeeu, 0x9f6b51d30d502b3aull},
+    {ContentClass::kRandom, 42, 777, 0x99da6828u, 0x08cb8dace96a23d0ull},
+    {ContentClass::kRandom, 42, 2031, 0x742d5821u, 0x8cd40eddb4f0821eull},
+    {ContentClass::kRandom, 42, 2032, 0x3cf90b9cu, 0x50791e24ac4ade89ull},
+    {ContentClass::kRandom, 42, 4095, 0xf0888606u, 0x8e689beb974281b9ull},
+    {ContentClass::kRandom, 42, 4096, 0xbe8b953au, 0xcb5a8f9650a14fddull},
+    {ContentClass::kRandom, 1993, 0, 0x00000001u, 0x47a58c9b019d6c1eull},
+    {ContentClass::kRandom, 1993, 1, 0xee5b2b19u, 0xfeb820c7da181539ull},
+    {ContentClass::kRandom, 1993, 15, 0x3c803349u, 0x888c04274ffdbe36ull},
+    {ContentClass::kRandom, 1993, 16, 0x7dcabb4bu, 0x2fa7f1b2e4642a4aull},
+    {ContentClass::kRandom, 1993, 17, 0xa06b1ae9u, 0x6f9f90f2feb47d1bull},
+    {ContentClass::kRandom, 1993, 31, 0x7d72d812u, 0x0d5a00002f9e9a1full},
+    {ContentClass::kRandom, 1993, 777, 0x987c0c10u, 0x81b3def030fc20a4ull},
+    {ContentClass::kRandom, 1993, 2031, 0xc773c129u, 0xdb47ac08bd0a2608ull},
+    {ContentClass::kRandom, 1993, 2032, 0x806c2d4du, 0xf052f402e6a00a5eull},
+    {ContentClass::kRandom, 1993, 4095, 0xf56cb0a4u, 0x00a07fed2ec45bedull},
+    {ContentClass::kRandom, 1993, 4096, 0x6b41f991u, 0xdfb2ef10fa8fbed6ull},
+};
+
+TEST(PagegenGoldenTest, EveryClassWritesTheRecordedBytesAndDraws) {
+  EXPECT_EQ(std::size(kGoldenFills), AllContentClasses().size() * 3 * 11);
+  for (const GoldenFill& g : kGoldenFills) {
+    // An exact-size heap buffer, never null, so a sanitizer build catches a
+    // store past the end of the span.
+    const auto buffer = std::make_unique<uint8_t[]>(g.length);
+    const std::span<uint8_t> page(buffer.get(), g.length);
+    Rng rng(g.seed);
+    FillPage(page, g.cls, rng);
+    EXPECT_EQ(Crc32(page), g.crc)
+        << ContentClassName(g.cls) << " seed " << g.seed << " length " << g.length;
+    EXPECT_EQ(rng.Next(), g.next_draw)
+        << ContentClassName(g.cls) << " seed " << g.seed << " length " << g.length;
   }
 }
 

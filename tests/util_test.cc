@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -84,6 +86,64 @@ TEST(RngTest, BelowIsRoughlyUniform) {
   }
   for (const int c : counts) {
     EXPECT_NEAR(c, n / 10, n / 100);
+  }
+}
+
+// Chance(p) is an integer compare of Next()'s top 53 bits against
+// ChanceThreshold(p); it must decide exactly what `NextDouble() < p` decides,
+// draw for draw, for every p, including the edges of [0, 1] and NaN.
+TEST(RngTest, ChanceMatchesNextDouble) {
+  const auto reference = [](Rng& rng, double p) { return rng.NextDouble() < p; };
+  // The exact predicate at the threshold's edges: x * 2^-53 < p <=> x < T(p).
+  const auto expect_exact_edge = [](double p) {
+    const uint64_t t = Rng::ChanceThreshold(p);
+    ASSERT_LE(t, uint64_t{1} << 53) << p;
+    for (const uint64_t x : {t - 1, t, t + 1}) {
+      if (x < (uint64_t{1} << 53)) {  // t - 1 wraps for t == 0 and is skipped
+        EXPECT_EQ(static_cast<double>(x) * 0x1.0p-53 < p, x < t) << "p " << p << " x " << x;
+      }
+    }
+  };
+  const auto expect_twins_agree = [&](double p, uint64_t seed, int draws) {
+    Rng a(seed);
+    Rng b(seed);
+    for (int i = 0; i < draws; ++i) {
+      ASSERT_EQ(a.Chance(p), reference(b, p)) << "p " << p << " draw " << i;
+    }
+    EXPECT_EQ(a.Next(), b.Next()) << "p " << p;  // one draw per call on both sides
+  };
+
+  const double fixed[] = {0.0,
+                          0x1.0p-60,
+                          1e-3,
+                          0.25,
+                          0.6,
+                          0.5 + 0x1.0p-53,
+                          1.0 - 0x1.0p-53,
+                          1.0,
+                          1.5,
+                          -0.1,
+                          std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+  for (const double p : fixed) {
+    expect_exact_edge(p);
+    expect_twins_agree(p, 17, 4096);
+  }
+  EXPECT_EQ(Rng::ChanceThreshold(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(Rng::ChanceThreshold(-0.1), 0u);
+  EXPECT_EQ(Rng::ChanceThreshold(1.5), uint64_t{1} << 53);
+  EXPECT_EQ(Rng::ChanceThreshold(0.25), uint64_t{1} << 51);
+  EXPECT_EQ(Rng::ChanceThreshold(0x1.0p-60), 1u);
+
+  Rng pick(23);
+  for (int i = 0; i < 10000; ++i) {
+    // Spread p over many binades, down to 2^-64, so thresholds of zero, one
+    // or a few units are covered too.
+    const double p = pick.NextDouble() * std::ldexp(1.0, -static_cast<int>(pick.Below(65)));
+    expect_exact_edge(p);
+    expect_twins_agree(p, 1000 + static_cast<uint64_t>(i), 8);
   }
 }
 
