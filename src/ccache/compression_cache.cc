@@ -101,12 +101,7 @@ bool CompressionCache::FreeOneDeadSlot() {
     if (slot == excluded[0] || slot == excluded[1] || slot == excluded[2]) {
       continue;
     }
-    CC_ASSERT(slots_[slot].valid());
-    CC_ASSERT(live_bytes_[slot] == 0);
-    frames_->FreeFrame(slots_[slot]);
-    slots_[slot] = FrameId{};
-    --mapped_count_;
-    dead_slots_.erase(slot);
+    UnmapSlot(slot);
     return true;
   }
   return false;
@@ -267,10 +262,6 @@ void CompressionCache::BindMetrics(MetricRegistry* registry) {
   // stable shape; all read zero with packing off.
   gauge("ccache.superblock.packed_inserts", &CcacheStats::superblock_packed_inserts);
   gauge("ccache.superblock.pad_bytes", &CcacheStats::superblock_pad_bytes);
-  gauge("ccache.superblock.overwrites_inplace", &CcacheStats::superblock_overwrites_inplace);
-  gauge("ccache.superblock.overwrite_appends", &CcacheStats::superblock_overwrite_appends);
-  gauge("ccache.superblock.overwrite_evictions",
-        &CcacheStats::superblock_overwrite_evictions);
   registry->RegisterGauge("ccache.superblock.frames_shared",
                           [this] { return static_cast<double>(SharedFrames()); });
   registry->RegisterGauge("ccache.frames_mapped",
@@ -382,11 +373,7 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
 
 void CompressionCache::InsertCompressed(PageKey key, std::span<const uint8_t> compressed,
                                         uint32_t original_size, bool dirty, bool zero_page) {
-  if (options_.superblock_packing && Contains(key)) {
-    OverwriteCompressed(key, compressed, original_size, dirty, zero_page);
-  } else {
-    AppendEntry(key, compressed, original_size, dirty, zero_page);
-  }
+  AppendEntry(key, compressed, original_size, dirty, zero_page);
   ++stats_.pages_kept;
   stats_.original_bytes_kept += original_size;
   stats_.compressed_bytes_kept += compressed.size();
@@ -434,170 +421,6 @@ void CompressionCache::InsertCompressedClean(PageKey key, std::span<const uint8_
   }
 }
 
-void CompressionCache::EvictCoResidents(uint64_t lo, uint64_t hi, PageKey keep) {
-  // Widen [lo, hi) to whole frames, clamped to the occupied ring range.
-  const uint64_t frame_lo = std::max(lo / kPageSize * kPageSize, head_off_);
-  const uint64_t frame_hi = std::min(((hi - 1) / kPageSize + 1) * kPageSize, tail_off_);
-
-  // First pass: one clustered write of every dirty victim, exactly like head
-  // reclamation — a dirty page must reach the backing store before it can be
-  // evicted from memory.
-  std::vector<SwapPageImage> batch;
-  for (const Entry& e : entries_) {
-    if (e.end_off() <= frame_lo) {
-      continue;
-    }
-    if (e.header_off >= frame_hi) {
-      break;
-    }
-    if (e.valid && e.dirty && !(e.key == keep)) {
-      SwapPageImage img;
-      img.key = e.key;
-      img.is_compressed = true;
-      img.original_size = e.original_size;
-      if (e.zero_page) {
-        img.bytes.assign(1, kContainerZeroPage);
-        img.checksum = Crc32(img.bytes);
-      } else {
-        img.checksum = e.checksum;
-        img.bytes.resize(e.payload_size);
-        CopyOut(e.payload_off(), img.bytes);
-      }
-      batch.push_back(std::move(img));
-    }
-  }
-  if (!batch.empty()) {
-    uint64_t staged = 0;
-    for (const SwapPageImage& img : batch) {
-      staged += img.bytes.size();
-    }
-    clock_->Advance(costs_->CopyCost(staged), TimeCategory::kCopy);
-    const IoStatus write_status = swap_->WriteBatch(batch);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), staged, batch.size());
-    }
-    if (write_status != IoStatus::kOk) {
-      // Same discipline as ReclaimHeadFrame: discard any partially persisted
-      // locations, keep the entries dirty, and let the drop pass report them
-      // lost.
-      for (const SwapPageImage& img : batch) {
-        swap_->Invalidate(img.key);
-      }
-      ++stats_.write_batch_failures;
-    } else {
-      for (const SwapPageImage& img : batch) {
-        Entry* e = Find(img.key);
-        CC_ASSERT(e != nullptr);
-        e->dirty = false;
-        ++stats_.entries_cleaned;
-        if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kCcacheEntryCleaned, clock_->Now(), img.key);
-        }
-        events_->OnEntryCleaned(img.key);
-      }
-    }
-  }
-
-  // Second pass: evict. The footprints stay in the ring as invalid husks (head
-  // reclamation pops them later), so the chain stays contiguous.
-  for (Entry& e : entries_) {
-    if (e.end_off() <= frame_lo) {
-      continue;
-    }
-    if (e.header_off >= frame_hi) {
-      break;
-    }
-    if (!e.valid || e.key == keep) {
-      continue;
-    }
-    e.valid = false;
-    index_.erase(e.key);
-    AddLiveBytes(e.header_off, e.end_off(), -1);
-    ++stats_.superblock_overwrite_evictions;
-    if (e.dirty) {
-      ++stats_.entries_lost;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kPageLost, clock_->Now(), e.key);
-      }
-      events_->OnEntryLost(e.key);
-    } else {
-      ++stats_.entries_dropped;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kCcacheEntryDropped, clock_->Now(), e.key);
-      }
-      events_->OnEntryDropped(e.key);
-    }
-  }
-}
-
-void CompressionCache::OverwriteCompressed(PageKey key, std::span<const uint8_t> compressed,
-                                           uint32_t original_size, bool dirty, bool zero_page) {
-  Entry* e = Find(key);
-  CC_EXPECTS(e != nullptr);
-  // The backing-store layouts store at most one page per image, so an image
-  // that did not beat raw storage (e.g. a codec's n+1 raw fallback) must not
-  // enter the ring — the caller keeps such pages uncompressed instead.
-  CC_EXPECTS(compressed.size() <= kPageSize);
-  // Normalize a zero-page marker image exactly as the insert paths do.
-  if (!zero_page && IsZeroPageMarker(compressed)) {
-    zero_page = true;
-  }
-  const std::span<const uint8_t> payload =
-      zero_page ? std::span<const uint8_t>{} : compressed;
-  const uint64_t footprint = e->end_off() - e->header_off;
-  const uint64_t body = kEntryHeaderBytes + payload.size();
-
-  if (dirty) {
-    // The new contents supersede whatever the backing store holds for this key.
-    swap_->Invalidate(key);
-  }
-
-  if (body <= footprint) {
-    // The new image still fits the entry's reserved class: rewrite in place.
-    // The footprint is unchanged (slack absorbs any shrink), so neither the
-    // chain nor the per-slot live-byte accounting moves.
-    clock_->Advance(costs_->CopyCost(payload.size()), TimeCategory::kCopy);
-    e->payload_size = static_cast<uint32_t>(payload.size());
-    e->slack = static_cast<uint32_t>(footprint - body);
-    e->original_size = original_size;
-    e->zero_page = zero_page;
-    e->dirty = dirty;
-    if (dirty) {
-      // The only place an entry turns dirty behind the cleaner's cursor.
-      first_dirty_seq_ = std::min(first_dirty_seq_, index_.at(key));
-    }
-    e->checksum = 0;
-    if (options_.checksums && !payload.empty()) {
-      e->checksum = Crc32(payload);
-      const uint8_t hdr[4] = {static_cast<uint8_t>(e->checksum),
-                              static_cast<uint8_t>(e->checksum >> 8),
-                              static_cast<uint8_t>(e->checksum >> 16),
-                              static_cast<uint8_t>(e->checksum >> 24)};
-      CopyIn(e->header_off, hdr);
-    }
-    CopyIn(e->payload_off(), payload);
-    e->age_ns = static_cast<uint64_t>(clock_->Now().nanos());
-    ++stats_.superblock_overwrites_inplace;
-    return;
-  }
-
-  // The image outgrew its class (the Sniper CompressCacheSet case): evict the
-  // co-resident pages of the entry's frames, retire the old entry, and append
-  // the new image at the tail.
-  EvictCoResidents(e->header_off, e->end_off(), key);
-  e = Find(key);  // the deque did not move, but re-find for clarity/safety
-  CC_ASSERT(e != nullptr);
-  e->valid = false;
-  index_.erase(key);
-  AddLiveBytes(e->header_off, e->end_off(), -1);
-  ++stats_.invalidations;
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceEventKind::kCcacheInvalidate, clock_->Now(), key);
-  }
-  ++stats_.superblock_overwrite_appends;
-  AppendEntry(key, payload, original_size, dirty, zero_page);
-}
-
 CcacheFaultResult CompressionCache::FaultIn(PageKey key, std::span<uint8_t> out) {
   Entry* e = Find(key);
   if (e == nullptr) {
@@ -613,16 +436,16 @@ CcacheFaultResult CompressionCache::FaultIn(PageKey key, std::span<uint8_t> out)
     ++stats_.zero_fault_hits;
     return CcacheFaultResult::kHit;
   }
+  if (injector_ != nullptr && e->payload_size > 0 &&
+      injector_->ShouldFault(FaultSite::kCodecCorruption)) {
+    // The stored image was damaged while it sat in the ring: flip the bit there,
+    // so every later reader of this entry sees the same damage as this one.
+    FlipPayloadBit(*e, injector_->Draw(FaultSite::kCodecCorruption,
+                                       uint64_t{e->payload_size} * 8));
+  }
   ScratchArena::Scope scope(*arena_);
   std::span<uint8_t> buf = arena_->Alloc(e->payload_size);
   CopyOut(e->payload_off(), buf);
-  if (injector_ != nullptr && !buf.empty() &&
-      injector_->ShouldFault(FaultSite::kCodecCorruption)) {
-    // Corrupt the transient decode buffer, not the ring: this models a bad DMA
-    // or bus flip on the read path, and leaves the stored copy intact.
-    const uint64_t bit = injector_->Draw(FaultSite::kCodecCorruption, buf.size() * 8);
-    buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-  }
   if (options_.verify_on_fault_in && e->checksum != 0) {
     const uint32_t computed = Crc32(buf);
     if (computed != e->checksum) {
@@ -754,6 +577,15 @@ uint64_t CompressionCache::OldestAge() const {
   return entries_.empty() ? UINT64_MAX : entries_.front().age_ns;
 }
 
+void CompressionCache::UnmapSlot(size_t slot) {
+  CC_ASSERT(slots_[slot].valid());
+  CC_ASSERT(live_bytes_[slot] == 0);
+  frames_->FreeFrame(slots_[slot]);
+  slots_[slot] = FrameId{};
+  --mapped_count_;
+  dead_slots_.erase(slot);
+}
+
 void CompressionCache::UnmapSlotsBelow(uint64_t old_head, uint64_t new_head) {
   // Frees every slot wholly below the new head. Safe because the ring keeps one
   // page of slack (effective capacity = capacity - page), so a slot with only
@@ -761,14 +593,9 @@ void CompressionCache::UnmapSlotsBelow(uint64_t old_head, uint64_t new_head) {
   // released as middle "free" slots are skipped.
   for (uint64_t ls = old_head / kPageSize; ls < new_head / kPageSize; ++ls) {
     const size_t slot = static_cast<size_t>(ls % options_.max_slots);
-    if (!slots_[slot].valid()) {
-      continue;
+    if (slots_[slot].valid()) {
+      UnmapSlot(slot);
     }
-    CC_ASSERT(live_bytes_[slot] == 0);
-    frames_->FreeFrame(slots_[slot]);
-    slots_[slot] = FrameId{};
-    --mapped_count_;
-    dead_slots_.erase(slot);
   }
 }
 
@@ -777,10 +604,7 @@ void CompressionCache::ReclaimHeadFrame() {
     // Only pre-mapped, unused slots remain; release one.
     for (size_t slot = 0; slot < slots_.size(); ++slot) {
       if (slots_[slot].valid()) {
-        frames_->FreeFrame(slots_[slot]);
-        slots_[slot] = FrameId{};
-        --mapped_count_;
-        dead_slots_.erase(slot);
+        UnmapSlot(slot);
         return;
       }
     }
@@ -792,64 +616,9 @@ void CompressionCache::ReclaimHeadFrame() {
 
   // First pass: write out, in one clustered batch, every dirty entry that overlaps
   // the head slot (they must reach the backing store before their frame dies).
-  std::vector<SwapPageImage> batch;
-  for (const Entry& e : entries_) {
-    if (e.header_off >= slot_end) {
-      break;
-    }
-    if (e.valid && e.dirty) {
-      SwapPageImage img;
-      img.key = e.key;
-      img.is_compressed = true;
-      img.original_size = e.original_size;
-      if (e.zero_page) {
-        // Zero entries have no ring payload; the backing store gets a one-byte
-        // marker image (backends require non-empty bytes).
-        img.bytes.assign(1, kContainerZeroPage);
-        img.checksum = Crc32(img.bytes);
-      } else {
-        img.checksum = e.checksum;
-        img.bytes.resize(e.payload_size);
-        CopyOut(e.payload_off(), img.bytes);
-      }
-      batch.push_back(std::move(img));
-    }
-  }
-  if (!batch.empty()) {
-    uint64_t staged = 0;
-    for (const SwapPageImage& img : batch) {
-      staged += img.bytes.size();
-    }
-    clock_->Advance(costs_->CopyCost(staged), TimeCategory::kCopy);
-    const IoStatus write_status = swap_->WriteBatch(batch);
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), staged, batch.size());
-    }
-    if (write_status != IoStatus::kOk) {
-      // Retries were already exhausted below; which images persisted is backend-
-      // dependent, so conservatively keep them all dirty. The drop pass below
-      // then reports them lost — reclamation must still make progress. The
-      // backend may have persisted a prefix of the batch, though: those partial
-      // locations must be discarded, or the backend claims pages the page
-      // tables disclaim (and, for the clustered/LFS layouts, holds their blocks
-      // forever — a leak the auditor's orphan check turns into a hard failure).
-      for (const SwapPageImage& img : batch) {
-        swap_->Invalidate(img.key);
-      }
-      ++stats_.write_batch_failures;
-    } else {
-      for (const SwapPageImage& img : batch) {
-        Entry* e = Find(img.key);
-        CC_ASSERT(e != nullptr);
-        e->dirty = false;
-        ++stats_.entries_cleaned;
-        if (tracer_ != nullptr) {
-          tracer_->Record(TraceEventKind::kCcacheEntryCleaned, clock_->Now(), img.key);
-        }
-        events_->OnEntryCleaned(img.key);
-      }
-    }
-  }
+  // A failed batch leaves them dirty, and the drop pass reports them lost:
+  // reclamation must still make progress.
+  WriteOutDirty(slot_end, UINT64_MAX);
 
   // Second pass: drop every entry overlapping the head slot. Entries are laid out
   // contiguously, so the head lands exactly on the next entry's header (or the
@@ -885,12 +654,9 @@ void CompressionCache::ReclaimHeadFrame() {
     CC_ASSERT(head_off_ == tail_off_);
     for (size_t slot = 0; slot < slots_.size(); ++slot) {
       if (slots_[slot].valid()) {
-        frames_->FreeFrame(slots_[slot]);
-        slots_[slot] = FrameId{};
-        --mapped_count_;
+        UnmapSlot(slot);
       }
     }
-    dead_slots_.clear();
     return;
   }
   CC_ASSERT(head_off_ >= slot_end);
@@ -928,11 +694,14 @@ size_t CompressionCache::FirstDirtyIndex() {
   return i;
 }
 
-bool CompressionCache::WriteOldestDirtyBatch() {
+bool CompressionCache::WriteOutDirty(uint64_t end_off, uint64_t batch_bytes) {
   std::vector<SwapPageImage> batch;
   uint64_t payload = 0;
   for (size_t i = FirstDirtyIndex(); i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
+    if (e.header_off >= end_off) {
+      break;
+    }
     if (!e.valid || !e.dirty) {
       continue;
     }
@@ -941,6 +710,8 @@ bool CompressionCache::WriteOldestDirtyBatch() {
     img.is_compressed = true;
     img.original_size = e.original_size;
     if (e.zero_page) {
+      // Zero entries have no ring payload; the backing store gets a one-byte
+      // marker image (backends require non-empty bytes).
       img.bytes.assign(1, kContainerZeroPage);
       img.checksum = Crc32(img.bytes);
     } else {
@@ -950,7 +721,7 @@ bool CompressionCache::WriteOldestDirtyBatch() {
     }
     payload += img.bytes.size();
     batch.push_back(std::move(img));
-    if (payload >= options_.write_batch_bytes) {
+    if (payload >= batch_bytes) {
       break;
     }
   }
@@ -963,11 +734,12 @@ bool CompressionCache::WriteOldestDirtyBatch() {
     tracer_->Record(TraceEventKind::kCcacheWriteBatch, clock_->Now(), payload, batch.size());
   }
   if (write_status != IoStatus::kOk) {
-    // Entries stay dirty; the cleaner (and FlushDirty) will stop rather than
-    // spin, and ReclaimHeadFrame handles the terminal case. Partially persisted
-    // images are discarded from the backend (see ReclaimHeadFrame): the entries
-    // are still dirty, so claiming a backing copy would be a lie — and the
-    // stranded blocks would never return to the free pool.
+    // Retries were already exhausted below; which images persisted is backend-
+    // dependent, so conservatively keep every entry dirty. The backend may have
+    // persisted a prefix of the batch, though: those partial locations must be
+    // discarded, or the backend claims pages the page tables disclaim (and, for
+    // the clustered/LFS layouts, holds their blocks forever — a leak the
+    // auditor's orphan check turns into a hard failure).
     for (const SwapPageImage& img : batch) {
       swap_->Invalidate(img.key);
     }
@@ -1006,11 +778,11 @@ void CompressionCache::RunCleaner(size_t pool_free_frames) {
   if (CleanPrefixFrames() >= clean_target) {
     return;
   }
-  WriteOldestDirtyBatch();
+  WriteOutDirty(UINT64_MAX, options_.write_batch_bytes);
 }
 
 void CompressionCache::FlushDirty() {
-  while (WriteOldestDirtyBatch()) {
+  while (WriteOutDirty(UINT64_MAX, options_.write_batch_bytes)) {
   }
 }
 
@@ -1022,14 +794,18 @@ std::optional<CompressionCache::EntryInfo> CompressionCache::EntryInfoFor(PageKe
   return EntryInfo{e->header_off, e->payload_size, e->dirty};
 }
 
-void CompressionCache::CorruptPayloadBitForTest(PageKey key, size_t bit) {
-  Entry* e = Find(key);
-  CC_EXPECTS(e != nullptr);
-  CC_EXPECTS(bit < static_cast<size_t>(e->payload_size) * 8);
+void CompressionCache::FlipPayloadBit(const Entry& e, uint64_t bit) {
+  CC_EXPECTS(bit < uint64_t{e.payload_size} * 8);
   uint8_t byte = 0;
-  CopyOut(e->payload_off() + bit / 8, std::span<uint8_t>(&byte, 1));
+  CopyOut(e.payload_off() + bit / 8, std::span<uint8_t>(&byte, 1));
   byte ^= static_cast<uint8_t>(1u << (bit % 8));
-  CopyIn(e->payload_off() + bit / 8, std::span<const uint8_t>(&byte, 1));
+  CopyIn(e.payload_off() + bit / 8, std::span<const uint8_t>(&byte, 1));
+}
+
+void CompressionCache::CorruptPayloadBitForTest(PageKey key, size_t bit) {
+  const Entry* e = Find(key);
+  CC_EXPECTS(e != nullptr);
+  FlipPayloadBit(*e, bit);
 }
 
 std::optional<std::vector<uint8_t>> CompressionCache::RawPayloadFor(PageKey key) const {
@@ -1068,12 +844,23 @@ void CompressionCache::AliasIndexKeyForTest(PageKey existing, PageKey alias) {
   index_[alias] = it->second;  // two keys now map to one entry
 }
 
-void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
+void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) const {
   CC_EXPECTS(auditor != nullptr);
-  // Ring occupancy: the entry chain is contiguous from head to tail (so the sum
-  // of entry footprints equals the used-bytes gauge by construction), and the
-  // per-slot live-byte accounting matches a recount over valid entries.
+  // Ring occupancy: the head never passes the tail and the used bytes leave the
+  // ring's one page of anti-alias slack free, the entry chain is contiguous from
+  // head to tail (so the sum of entry footprints equals the used-bytes gauge by
+  // construction), and the per-slot live-byte accounting matches a recount over
+  // valid entries.
   auditor->Register("ccache", "occupancy", [this]() -> std::optional<std::string> {
+    const uint64_t capacity = static_cast<uint64_t>(options_.max_slots) * kPageSize;
+    if (head_off_ > tail_off_) {
+      return "head offset " + std::to_string(head_off_) + " runs past the tail offset " +
+             std::to_string(tail_off_);
+    }
+    if (used_bytes() > capacity - kPageSize) {
+      return std::to_string(used_bytes()) + " used bytes exceed the capacity less one page, " +
+             std::to_string(capacity - kPageSize);
+    }
     uint64_t expected_off = head_off_;
     for (const Entry& e : entries_) {
       if (e.header_off != expected_off) {
@@ -1205,64 +992,9 @@ void CompressionCache::RegisterAuditChecks(InvariantAuditor* auditor) {
 }
 
 void CompressionCache::CheckInvariants() const {
-  const uint64_t capacity = static_cast<uint64_t>(options_.max_slots) * kPageSize;
-  CC_ASSERT(tail_off_ >= head_off_);
-  CC_ASSERT(tail_off_ - head_off_ <= capacity - kPageSize);
-
-  // Entries are contiguous from head to tail.
-  uint64_t expected = head_off_;
-  size_t valid_count = 0;
-  for (const Entry& e : entries_) {
-    CC_ASSERT(e.header_off == expected);
-    expected = e.end_off();
-    if (options_.superblock_packing) {
-      CC_ASSERT(e.header_off % kSubBlockBytes == 0);
-      CC_ASSERT((e.end_off() - e.header_off) % kSubBlockBytes == 0);
-    }
-    if (e.valid) {
-      ++valid_count;
-      const auto it = index_.find(e.key);
-      CC_ASSERT(it != index_.end());
-      CC_ASSERT(entries_[static_cast<size_t>(it->second - base_seq_)].key == e.key);
-    }
-  }
-  CC_ASSERT(expected == tail_off_);
-  CC_ASSERT(valid_count == index_.size());
-
-  // No valid dirty entry precedes the cleaner's cursor.
-  CC_ASSERT(first_dirty_seq_ <= base_seq_ + entries_.size());
-  for (uint64_t seq = base_seq_; seq < first_dirty_seq_; ++seq) {
-    const Entry& e = entries_[static_cast<size_t>(seq - base_seq_)];
-    CC_ASSERT(!(e.valid && e.dirty));
-  }
-
-  // Recompute per-slot live bytes from valid entries and check the accounting,
-  // that every slot holding valid bytes is mapped, and the dead-slot set.
-  std::vector<uint64_t> expected_live(options_.max_slots, 0);
-  for (const Entry& e : entries_) {
-    if (!e.valid) {
-      continue;
-    }
-    for (uint64_t ls = e.header_off / kPageSize; ls <= (e.end_off() - 1) / kPageSize; ++ls) {
-      const uint64_t lo = std::max(e.header_off, ls * kPageSize);
-      const uint64_t hi = std::min(e.end_off(), (ls + 1) * kPageSize);
-      expected_live[static_cast<size_t>(ls % options_.max_slots)] += hi - lo;
-    }
-  }
-  size_t mapped = 0;
-  for (size_t slot = 0; slot < slots_.size(); ++slot) {
-    CC_ASSERT(live_bytes_[slot] == expected_live[slot]);
-    if (live_bytes_[slot] > 0) {
-      CC_ASSERT(slots_[slot].valid());
-    }
-    if (slots_[slot].valid()) {
-      ++mapped;
-      CC_ASSERT((live_bytes_[slot] == 0) == dead_slots_.contains(slot));
-    } else {
-      CC_ASSERT(!dead_slots_.contains(slot));
-    }
-  }
-  CC_ASSERT(mapped == mapped_count_);
+  InvariantAuditor auditor;
+  RegisterAuditChecks(&auditor);
+  auditor.RunAll();
 }
 
 }  // namespace compcache

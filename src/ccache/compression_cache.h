@@ -104,12 +104,10 @@ struct CcacheOptions {
   // Superblock frame packing (after Touché / the Sniper CompressCacheSet
   // organization): entry footprints are rounded up to the sub-block quantum
   // (kPageSize / 4), so every entry starts on a sub-block boundary and at most
-  // 4 compressed pages ever share one physical frame. The padding trades ring
-  // bytes for the fixed-compression-factor property the hardware schemes
-  // depend on: an entry's reserved footprint is one of exactly four sizes, so
-  // a recompressed page that still fits its class is rewritten in place, and
-  // one that grew out of its class evicts the (up to 4) co-resident pages of
-  // its frames — see OverwriteCompressed.
+  // 4 compressed pages ever share one physical frame. Packing quantizes
+  // footprints only: an entry is never rewritten in place, because the VM
+  // invalidates a page's compressed copy on its first write and compresses it
+  // afresh at the next eviction.
   bool superblock_packing = false;
 };
 
@@ -137,9 +135,6 @@ struct CcacheStats {
   // Superblock packing (all zero unless CcacheOptions::superblock_packing):
   uint64_t superblock_packed_inserts = 0;      // appends that joined a partly used frame
   uint64_t superblock_pad_bytes = 0;           // quantization slack added at append
-  uint64_t superblock_overwrites_inplace = 0;  // overwrites that fit the reserved class
-  uint64_t superblock_overwrite_appends = 0;   // overwrites that outgrew it (re-append)
-  uint64_t superblock_overwrite_evictions = 0; // co-residents evicted by those overwrites
   RunningStats kept_ratio_pct;  // compressed/original * 100 for kept pages
 };
 
@@ -181,22 +176,9 @@ class CompressionCache {
     std::span<const uint8_t> bytes;  // compressed image; valid until the Scope closes
   };
   CompressOutcome CompressPage(std::span<const uint8_t> page);
-  // With superblock packing enabled, inserting a key that is already cached
-  // routes to OverwriteCompressed (the Sniper overwrite semantics); otherwise
-  // the key must be absent.
+  // The key must be absent, as for every insert path.
   void InsertCompressed(PageKey key, std::span<const uint8_t> compressed,
                         uint32_t original_size, bool dirty, bool zero_page = false);
-
-  // Replaces the compressed image of a key already in the cache. When the new
-  // image still fits the entry's reserved footprint (its superblock class) it
-  // is rewritten in place; when it has grown — e.g. the page's new contents
-  // turned incompressible — every co-resident page sharing the entry's frames
-  // is evicted first (dirty ones are written out in one clustered batch, up to
-  // 4 evictions per Sniper's CompressCacheSet), and the new image is appended
-  // fresh at the tail. A dirty overwrite invalidates any stale backing-store
-  // copy of the key.
-  void OverwriteCompressed(PageKey key, std::span<const uint8_t> compressed,
-                           uint32_t original_size, bool dirty, bool zero_page = false);
 
   // Inserts an already-compressed image read from the backing store, as a clean
   // entry. No compression charge (the bits are already compressed). A one-byte
@@ -281,12 +263,14 @@ class CompressionCache {
   // peak re-baselines to the current mapping so it stays meaningful.
   void ResetStats();
 
-  // Invariants: ring occupancy — the contiguous entry chain spans exactly
-  // [head, tail] and per-slot live-byte accounting matches a recount — plus
+  // Invariants: ring occupancy — head <= tail with one page of the ring left
+  // free, the contiguous entry chain spans exactly [head, tail], and per-slot
+  // live-byte accounting matches a recount — plus superblock quantization
+  // (at most 4 entries per frame with packing on) — plus
   // index coherence: every index key maps to exactly the valid entry bearing
   // that key (no double-maps), and valid entries == index size — plus the
   // cleaner's dirty cursor: no valid dirty entry precedes it.
-  void RegisterAuditChecks(InvariantAuditor* auditor);
+  void RegisterAuditChecks(InvariantAuditor* auditor) const;
 
   // --- observability ---
   // Publishes every CcacheStats counter as a "ccache.*" gauge plus the
@@ -295,8 +279,9 @@ class CompressionCache {
   void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
 
   // Optional fault injection: models in-memory corruption of compressed data
-  // (FaultSite::kCodecCorruption) on the fault-in path. The flipped bit lives in
-  // the transient decode buffer, never the ring, so recovery can re-read.
+  // (FaultSite::kCodecCorruption). When the site fires on a fault-in, one bit
+  // of the entry's stored payload flips in the ring before it is read, so the
+  // damage persists; the caller invalidates the entry it reports kCorrupt.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
 
   // Scratch arena used by the compress/decompress hot path. The cache owns a
@@ -316,8 +301,8 @@ class CompressionCache {
   // entry classes (1, 2, 3, or 4 sub-blocks) of a 4-pages-per-frame layout.
   static constexpr uint32_t kSubBlockBytes = kPageSize / 4;
 
-  // Validates internal invariants (entries contiguous, index consistent, slot
-  // mapping covers live bytes). Test hook; aborts on violation.
+  // Runs the RegisterAuditChecks set through a local auditor, which names the
+  // failing check and aborts on a violation. Test hook.
   void CheckInvariants() const;
 
   // Introspection for tests and debugging.
@@ -353,8 +338,7 @@ class CompressionCache {
     uint32_t original_size = 0;
     uint32_t checksum = 0;  // CRC-32C of the payload; 0 = not recorded
     // Reserved-but-unused footprint bytes after the payload: superblock
-    // quantization slack, or the residue of an in-place overwrite that shrank
-    // the payload. The footprint (and thus the ring chain) includes it.
+    // quantization slack. The footprint (and thus the ring chain) includes it.
     uint32_t slack = 0;
     bool zero_page = false;  // all-zero page: no payload, faults zero-fill
     bool dirty = false;
@@ -382,20 +366,17 @@ class CompressionCache {
   Entry* Find(PageKey key);
   const Entry* Find(PageKey key) const;
 
-  // Evicts every valid entry except `keep` whose footprint overlaps the frames
-  // covering the linear byte range [lo, hi): dirty victims are written to the
-  // backing store in one clustered batch first (failed writes surface as
-  // OnEntryLost, like head reclamation). Core of OverwriteCompressed's grow
-  // path.
-  void EvictCoResidents(uint64_t lo, uint64_t hi, PageKey keep);
-
   // Pops head entries (writing dirty ones) until the head frame can be freed;
   // unmaps and frees it. Core of ReleaseOldest.
   void ReclaimHeadFrame();
 
-  // Writes the oldest `write_batch_bytes` of dirty entries to the backing store.
-  // Returns false when there was nothing dirty.
-  bool WriteOldestDirtyBatch();
+  // Writes the oldest valid dirty entries that start before `end_off` to the
+  // backing store in one clustered batch, stopping once `batch_bytes` of
+  // payload are staged. On success the entries turn clean (OnEntryCleaned); on
+  // failure they stay dirty, any partially persisted images are discarded, and
+  // write_batch_failures counts it. Returns false when the write failed or
+  // nothing was dirty.
+  bool WriteOutDirty(uint64_t end_off, uint64_t batch_bytes);
 
   // Frames worth of clean/invalid prefix at the head (reclaimable without I/O).
   size_t CleanPrefixFrames();
@@ -404,7 +385,12 @@ class CompressionCache {
   // none), advancing first_dirty_seq_ past the clean/invalid entries walked.
   size_t FirstDirtyIndex();
 
+  // Frees the frame of a mapped slot that holds no live bytes.
+  void UnmapSlot(size_t slot);
   void UnmapSlotsBelow(uint64_t old_head, uint64_t new_head);
+
+  // Flips one bit of an entry's stored payload in the ring.
+  void FlipPayloadBit(const Entry& e, uint64_t bit);
 
   Clock* clock_;
   const CostModel* costs_;
@@ -437,8 +423,7 @@ class CompressionCache {
   // Lower bound on the sequence number of the oldest valid dirty entry: no
   // valid dirty entry lies before it (it may trail base_seq_ after head pops).
   // The cleaner starts its scans here instead of rescanning the clean prefix.
-  // Appends land after it; only an in-place overwrite can re-dirty an entry
-  // behind it, and OverwriteCompressed lowers it there.
+  // Entries turn dirty only when appended, which lands them after it.
   uint64_t first_dirty_seq_ = 0;
   std::unordered_map<PageKey, uint64_t, PageKeyHash> index_;  // key -> sequence number
 

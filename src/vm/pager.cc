@@ -602,10 +602,12 @@ void Pager::OnEntryLost(PageKey key) {
   }
 }
 
-void Pager::RegisterAuditChecks(InvariantAuditor* auditor) {
+void Pager::RegisterAuditChecks(InvariantAuditor* auditor) const {
   CC_EXPECTS(auditor != nullptr);
-  // Reporting mirror of CheckInvariants: per-state flag rules plus the
-  // resident-count / LRU-size balance.
+  // Per-state flag rules, the ccache flag agreeing with the cache's index in
+  // both directions (for resident pages too: a page keeps its compressed copy
+  // only until its first write, so the cache never holds a copy the page
+  // disclaims), plus the resident-count / LRU-size balance.
   auditor->Register("vm", "page-states", [this]() -> std::optional<std::string> {
     size_t resident = 0;
     for (const auto& segment : segments_) {
@@ -646,8 +648,7 @@ void Pager::RegisterAuditChecks(InvariantAuditor* auditor) {
         if (e.has_ccache_copy && (ccache_ == nullptr || !ccache_->Contains(e.key))) {
           return where + "claims a ccache copy the cache does not hold";
         }
-        if (!e.has_ccache_copy && ccache_ != nullptr && e.state != PageState::kResident &&
-            ccache_->Contains(e.key)) {
+        if (!e.has_ccache_copy && ccache_ != nullptr && ccache_->Contains(e.key)) {
           return where + "disclaims a ccache copy the cache still holds";
         }
       }
@@ -705,41 +706,9 @@ void Pager::RegisterAuditChecks(InvariantAuditor* auditor) {
 }
 
 void Pager::CheckInvariants() const {
-  size_t resident = 0;
-  for (const auto& segment : segments_) {
-    for (uint32_t p = 0; p < segment->num_pages(); ++p) {
-      const PageEntry& e = segment->page(p);
-      switch (e.state) {
-        case PageState::kUntouched:
-          CC_ASSERT(!e.frame.valid() && !e.dirty);
-          CC_ASSERT(!e.has_ccache_copy && !e.has_backing_copy);
-          break;
-        case PageState::kResident:
-          CC_ASSERT(e.frame.valid());
-          ++resident;
-          if (e.dirty) {
-            CC_ASSERT(!e.has_ccache_copy && !e.has_backing_copy);
-          }
-          break;
-        case PageState::kCompressed:
-          CC_ASSERT(!e.frame.valid());
-          CC_ASSERT(e.has_ccache_copy);
-          CC_ASSERT(ccache_ != nullptr && ccache_->Contains(e.key));
-          break;
-        case PageState::kSwapped:
-          CC_ASSERT(!e.frame.valid());
-          CC_ASSERT(!e.has_ccache_copy);
-          CC_ASSERT(e.has_backing_copy);
-          break;
-      }
-      if (e.has_ccache_copy) {
-        CC_ASSERT(ccache_ != nullptr && ccache_->Contains(e.key));
-      } else if (ccache_ != nullptr && e.state != PageState::kResident) {
-        CC_ASSERT(!ccache_->Contains(e.key));
-      }
-    }
-  }
-  CC_ASSERT(resident == lru_.size());
+  InvariantAuditor auditor;
+  RegisterAuditChecks(&auditor);
+  auditor.RunAll();
 }
 
 }  // namespace compcache

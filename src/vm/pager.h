@@ -213,11 +213,11 @@ class Pager : public CcacheEvents {
   void ResetStats();
   bool uses_compression_cache() const { return ccache_ != nullptr; }
 
-  // Invariants: the per-page-state flag rules of CheckInvariants (as reporting
-  // checks rather than aborts), resident count == LRU size, and two-way
+  // Invariants: the per-page-state flag rules, the ccache flag matching the
+  // cache's index for every page, resident count == LRU size, and two-way
   // vm <-> backing-store coherence: every page claiming a backing copy is in
   // the backend, and every backend page is claimed (orphans are leaks).
-  void RegisterAuditChecks(InvariantAuditor* auditor);
+  void RegisterAuditChecks(InvariantAuditor* auditor) const;
 
   // --- observability ---
   // Publishes every VmStats counter as a "vm.*" gauge reading the struct (so the
@@ -227,7 +227,8 @@ class Pager : public CcacheEvents {
   // Records fault/evict events; pass nullptr to disable.
   void SetTracer(EventTracer* tracer) { tracer_ = tracer; }
 
-  // Validates page-state/bookkeeping invariants (test hook).
+  // Runs the RegisterAuditChecks set through a local auditor, which names the
+  // failing check and aborts on a violation. Test hook.
   void CheckInvariants() const;
 
  private:

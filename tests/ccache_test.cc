@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <set>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "compress/pagegen.h"
 #include "tests/test_util.h"
 #include "util/audit.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace compcache {
@@ -240,6 +242,99 @@ TEST_F(CcacheTest, FlushDirtyWritesEverything) {
   EXPECT_EQ(cache_->stats().entries_cleaned, cleaned);
 }
 
+// Every disk write fails, retries included: a WriteBatch the cache issues
+// through the fixture's device then fails as a whole.
+void FailEveryDiskWrite(DiskDevice& device, FaultInjector& injector) {
+  FaultSchedule schedule;
+  schedule.probability = 1.0;
+  injector.SetSchedule(FaultSite::kDiskWrite, schedule);
+  device.SetFaultInjector(&injector);
+}
+
+TEST_F(CcacheTest, FailedCleanerBatchLeavesEntriesDirtyAndSwapEmpty) {
+  for (uint32_t i = 0; i < 32; ++i) {
+    cache_->CompressAndInsert(PageKey{0, i}, MakePage(ContentClass::kText, 300 + i), true);
+  }
+  FaultInjector injector(11);
+  FailEveryDiskWrite(device_, injector);
+  cache_->RunCleaner(/*pool_free_frames=*/0);
+
+  EXPECT_EQ(cache_->stats().write_batch_failures, 1u);
+  EXPECT_EQ(cache_->stats().entries_cleaned, 0u);
+  EXPECT_TRUE(events_.cleaned.empty());
+  EXPECT_TRUE(events_.lost.empty());
+  EXPECT_EQ(swap_.live_pages(), 0u);  // no partially persisted image survives
+  for (uint32_t i = 0; i < 32; ++i) {
+    const auto info = cache_->EntryInfoFor(PageKey{0, i});
+    ASSERT_TRUE(info.has_value()) << i;
+    EXPECT_TRUE(info->dirty) << i;
+    EXPECT_FALSE(swap_.Contains(PageKey{0, i})) << i;
+  }
+  cache_->CheckInvariants();
+
+  // Once the device recovers, the same entries are written out.
+  device_.SetFaultInjector(nullptr);
+  cache_->RunCleaner(/*pool_free_frames=*/0);
+  EXPECT_GT(cache_->stats().entries_cleaned, 0u);
+  EXPECT_EQ(cache_->stats().write_batch_failures, 1u);
+  cache_->CheckInvariants();
+}
+
+TEST_F(CcacheTest, FailedHeadReclaimReportsTheDirtyEntriesLost) {
+  for (uint32_t i = 0; i < 16; ++i) {
+    cache_->CompressAndInsert(PageKey{0, i}, MakePage(ContentClass::kText, 200 + i), true);
+  }
+  const size_t mapped_before = cache_->mapped_frames();
+  FaultInjector injector(12);
+  FailEveryDiskWrite(device_, injector);
+
+  // Reclamation must still make progress: the head frame comes back, and its
+  // dirty entries, which never reached the backing store, are lost.
+  EXPECT_TRUE(cache_->ReleaseOldest());
+  EXPECT_LT(cache_->mapped_frames(), mapped_before);
+  EXPECT_EQ(cache_->stats().write_batch_failures, 1u);
+  EXPECT_EQ(cache_->stats().entries_cleaned, 0u);
+  EXPECT_TRUE(events_.cleaned.empty());
+  EXPECT_TRUE(events_.dropped.empty());
+  ASSERT_FALSE(events_.lost.empty());
+  EXPECT_EQ(cache_->stats().entries_lost, events_.lost.size());
+  for (const PageKey key : events_.lost) {
+    EXPECT_FALSE(cache_->Contains(key));
+    EXPECT_FALSE(swap_.Contains(key));
+  }
+  EXPECT_EQ(swap_.live_pages(), 0u);
+  cache_->CheckInvariants();
+}
+
+TEST_F(CcacheTest, InjectedCodecCorruptionDamagesTheStoredPayload) {
+  const PageKey key{0, 0};
+  ASSERT_TRUE(cache_->CompressAndInsert(key, MakePage(ContentClass::kText, 7), true));
+  const std::vector<uint8_t> before = *cache_->RawPayloadFor(key);
+  FaultInjector injector(3);
+  FaultSchedule schedule;
+  schedule.fail_ops = {1};
+  injector.SetSchedule(FaultSite::kCodecCorruption, schedule);
+  cache_->SetFaultInjector(&injector);
+
+  std::vector<uint8_t> out(kPageSize);
+  EXPECT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kCorrupt);
+  ASSERT_EQ(injector.injected(FaultSite::kCodecCorruption), 1u);
+  // Exactly one bit of the ring's copy flipped...
+  const std::vector<uint8_t> after = *cache_->RawPayloadFor(key);
+  ASSERT_EQ(after.size(), before.size());
+  int flipped_bits = 0;
+  for (size_t i = 0; i < before.size(); ++i) {
+    flipped_bits += std::popcount(static_cast<unsigned>(before[i] ^ after[i]));
+  }
+  EXPECT_EQ(flipped_bits, 1);
+  // ...and the damage persists: a second read, with no fault injected, fails
+  // its checksum too.
+  EXPECT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kCorrupt);
+  EXPECT_EQ(injector.injected(FaultSite::kCodecCorruption), 1u);
+  EXPECT_EQ(cache_->stats().checksum_mismatches, 2u);
+  cache_->SetFaultInjector(nullptr);
+}
+
 TEST_F(CcacheTest, InsertCompressedCleanFromSwapImage) {
   // Simulates the fault path: a compressed image read from backing store is
   // inserted clean.
@@ -403,14 +498,6 @@ class SuperblockCcacheTest : public CcacheTest {
     cache_ = std::make_unique<CompressionCache>(&clock_, &costs_, &frames_, &codec_, &swap_,
                                                 &events_, options);
   }
-
-  // A compressed image of `page` made with the cache's codec (so FaultIn can
-  // decode it), for driving OverwriteCompressed directly.
-  std::vector<uint8_t> CompressWithCodec(const std::vector<uint8_t>& page) {
-    std::vector<uint8_t> buf(codec_.MaxCompressedSize(page.size()));
-    buf.resize(codec_.Compress(page, buf));
-    return buf;
-  }
 };
 
 TEST_F(SuperblockCcacheTest, QuantizedFootprintsShareFrames) {
@@ -445,130 +532,6 @@ TEST_F(SuperblockCcacheTest, FourZeroEntriesPackIntoOneFrame) {
   cache_->CheckInvariants();
 }
 
-TEST_F(SuperblockCcacheTest, OverwriteThatFitsRewritesInPlace) {
-  const auto page_a = MakePage(ContentClass::kRepetitiveText, 1);
-  const auto page_b = MakePage(ContentClass::kRepetitiveText, 2);
-  const PageKey key{0, 0};
-  ASSERT_TRUE(cache_->CompressAndInsert(key, page_a, /*dirty=*/true));
-  const auto before = cache_->EntryInfoFor(key);
-  ASSERT_TRUE(before.has_value());
-
-  cache_->OverwriteCompressed(key, CompressWithCodec(page_b),
-                              static_cast<uint32_t>(page_b.size()), /*dirty=*/true);
-  const auto after = cache_->EntryInfoFor(key);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->header_off, before->header_off);  // did not move
-  EXPECT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
-  EXPECT_EQ(cache_->stats().superblock_overwrite_evictions, 0u);
-
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, page_b);
-  cache_->CheckInvariants();
-}
-
-TEST_F(SuperblockCcacheTest, IncompressibleOverwriteEvictsCoResidents) {
-  // Pack four pages into one frame (zero pages: exactly one sub-block each),
-  // then overwrite one of them with an image that no longer fits its sub-block
-  // class: Sniper's CompressCacheSet semantics say the co-residents (up to 4
-  // pages) are evicted.
-  const std::vector<uint8_t> zero_page(kPageSize, 0);
-  for (uint32_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(cache_->CompressAndInsert(PageKey{0, p}, zero_page, /*dirty=*/true));
-  }
-  ASSERT_EQ(cache_->SharedFrames(), 1u);
-
-  // Text compresses, but nowhere near the zero entries' one-sub-block class:
-  // the new image outgrows the reserved footprint without breaching the
-  // backends' one-page image limit.
-  const auto grown = MakePage(ContentClass::kText, 99);
-  const auto grown_image = CompressWithCodec(grown);
-  ASSERT_GT(grown_image.size() + CompressionCache::kEntryHeaderBytes,
-            CompressionCache::kSubBlockBytes);
-  ASSERT_LE(grown_image.size(), kPageSize);
-  const PageKey victim{0, 1};
-  cache_->OverwriteCompressed(victim, grown_image, static_cast<uint32_t>(grown.size()),
-                              /*dirty=*/true);
-
-  EXPECT_EQ(cache_->stats().superblock_overwrite_appends, 1u);
-  EXPECT_EQ(cache_->stats().superblock_overwrite_evictions, 3u);
-  // The dirty co-residents were written out before eviction, so they were
-  // dropped (with backing copies), not lost.
-  EXPECT_EQ(events_.dropped.size(), 3u);
-  EXPECT_TRUE(events_.lost.empty());
-  for (const uint32_t p : {0u, 2u, 3u}) {
-    EXPECT_FALSE(cache_->Contains(PageKey{0, p})) << p;
-    EXPECT_TRUE(swap_.Contains(PageKey{0, p})) << p;
-  }
-
-  // The overwritten key survives with its new (grown) image, appended fresh.
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(victim, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, grown);
-  cache_->CheckInvariants();
-}
-
-TEST_F(SuperblockCcacheTest, InsertCompressedRoutesExistingKeysToOverwrite) {
-  const auto page_a = MakePage(ContentClass::kRepetitiveText, 5);
-  const auto page_b = MakePage(ContentClass::kRepetitiveText, 6);
-  const PageKey key{0, 3};
-  ASSERT_TRUE(cache_->CompressAndInsert(key, page_a, /*dirty=*/true));
-  // A second insert of the same key must not trip AppendEntry's freshness
-  // contract: with packing on it routes through the overwrite path.
-  const auto image = CompressWithCodec(page_b);
-  cache_->InsertCompressed(key, image, static_cast<uint32_t>(page_b.size()), /*dirty=*/true);
-  EXPECT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
-  EXPECT_EQ(cache_->stats().pages_kept, 2u);
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, page_b);
-  cache_->CheckInvariants();
-}
-
-TEST_F(SuperblockCcacheTest, InPlaceOverwriteBehindTheDirtyCursorIsCleaned) {
-  InvariantAuditor auditor;
-  auditor.set_abort_on_violation(false);
-  cache_->RegisterAuditChecks(&auditor);
-  for (uint32_t p = 0; p < 8; ++p) {
-    ASSERT_TRUE(
-        cache_->CompressAndInsert(PageKey{0, p}, MakePage(ContentClass::kRepetitiveText, p),
-                                  /*dirty=*/true));
-  }
-  // Flushing cleans every entry; its last, empty scan parks the cleaner's dirty
-  // cursor at the tail, past all eight entries.
-  cache_->FlushDirty();
-  const uint64_t cleaned = cache_->stats().entries_cleaned;
-  ASSERT_EQ(cleaned, 8u);
-  cache_->RunCleaner(/*pool_free_frames=*/0);
-  EXPECT_EQ(cache_->stats().entries_cleaned, cleaned);  // nothing dirty
-
-  // Re-dirty an entry near the head in place: it now lies behind the cursor.
-  const PageKey key{0, 2};
-  const auto page = MakePage(ContentClass::kRepetitiveText, 77);
-  const auto image = CompressWithCodec(page);
-  const auto before = cache_->EntryInfoFor(key);
-  cache_->OverwriteCompressed(key, image, static_cast<uint32_t>(page.size()), /*dirty=*/true);
-  ASSERT_EQ(cache_->stats().superblock_overwrites_inplace, 1u);
-  ASSERT_EQ(cache_->EntryInfoFor(key)->header_off, before->header_off);
-  ASSERT_TRUE(cache_->EntryInfoFor(key)->dirty);
-  ASSERT_FALSE(swap_.Contains(key));
-  EXPECT_EQ(auditor.RunAll(), 0u);
-  cache_->CheckInvariants();
-
-  // The next cleaner pass must find and write it.
-  events_.cleaned.clear();
-  cache_->RunCleaner(/*pool_free_frames=*/0);
-  EXPECT_EQ(cache_->stats().entries_cleaned, cleaned + 1);
-  EXPECT_EQ(events_.cleaned, std::vector<PageKey>{key});
-  EXPECT_FALSE(cache_->EntryInfoFor(key)->dirty);
-  EXPECT_TRUE(swap_.Contains(key));
-  std::vector<uint8_t> out(kPageSize);
-  ASSERT_EQ(cache_->FaultIn(key, out), CcacheFaultResult::kHit);
-  EXPECT_EQ(out, page);
-  EXPECT_EQ(auditor.RunAll(), 0u);
-  cache_->CheckInvariants();
-}
-
 TEST_F(SuperblockCcacheTest, RandomOperationsKeepInvariantsWithPacking) {
   InvariantAuditor auditor;
   cache_->RegisterAuditChecks(&auditor);
@@ -582,22 +545,11 @@ TEST_F(SuperblockCcacheTest, RandomOperationsKeepInvariantsWithPacking) {
       const auto page = MakePage(rng.Chance(0.15) ? ContentClass::kShuffledWords
                                                   : ContentClass::kRepetitiveText,
                                  20'000 + static_cast<uint64_t>(op));
-      if (cache_->Contains(key)) {
-        // Exercise the overwrite path (in place or evicting) instead of the
-        // pager's invalidate-then-reinsert discipline — but only with images a
-        // real caller would keep (the threshold gates what enters the ring).
-        const auto image = CompressWithCodec(page);
-        if (!cache_->options().threshold.KeepCompressed(page.size(), image.size())) {
-          swap_.Invalidate(key);
-          cache_->Invalidate(key);
-          latest.erase(page_index);
-          continue;
-        }
-        swap_.Invalidate(key);
-        cache_->OverwriteCompressed(key, image, static_cast<uint32_t>(page.size()),
-                                    /*dirty=*/true);
-        latest[page_index] = page;
-      } else if (cache_->CompressAndInsert(key, page, true)) {
+      // The pager's discipline: a rewritten page's stale copies die first, and
+      // the new contents are compressed and appended afresh.
+      swap_.Invalidate(key);
+      cache_->Invalidate(key);
+      if (cache_->CompressAndInsert(key, page, true)) {
         latest[page_index] = page;
       } else {
         latest.erase(page_index);
