@@ -13,12 +13,12 @@
 //   --memory-mb=N          user memory [8]
 //   --space-mb=N           thrasher address space [1.5x memory]
 //   --ccache / --no-ccache compression cache on/off [on]
-//   --codec=NAME           lzrw1 | lzrw1a | rle | wk | store [lzrw1]
+//   --codec=NAME           lzrw1 | lzrw1a | rle | wk | store | bdi | fpc | dict |
+//                          zero | adaptive (per-page picker) [lzrw1]
 //   --threshold=N:D        keep-compressed threshold [4:3]
 //   --bias-s=N             compression-cache age bias, seconds [10]
 //   --swap=KIND            clustered | fixed | lfs [clustered]
 //   --backing=KIND         disk | wireless [disk]
-//   --adaptive             adaptive compression disable [off]
 //   --compress-file-cache  compressed file buffer cache [off]
 #include <cstdio>
 #include <cstdlib>
@@ -47,7 +47,6 @@ struct CliOptions {
   double bias_s = 10;
   std::string swap = "clustered";
   std::string backing = "disk";
-  bool adaptive = false;
   bool compress_file_cache = false;
 };
 
@@ -92,8 +91,6 @@ CliOptions Parse(int argc, char** argv) {
       options.swap = value;
     } else if (StartsWith(arg, "--backing=", &value)) {
       options.backing = value;
-    } else if (std::strcmp(arg, "--adaptive") == 0) {
-      options.adaptive = true;
     } else if (std::strcmp(arg, "--compress-file-cache") == 0) {
       options.compress_file_cache = true;
     } else {
@@ -125,7 +122,6 @@ MachineConfig ToConfig(const CliOptions& options) {
   } else if (options.backing != "disk") {
     Usage("bad --backing");
   }
-  config.adaptive_compression.enabled = options.adaptive;
   config.compress_file_cache = options.compress_file_cache;
   return config;
 }

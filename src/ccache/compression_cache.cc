@@ -210,7 +210,7 @@ void CompressionCache::AppendEntry(PageKey key, std::span<const uint8_t> payload
     }
   }
 
-  if (options_.checksums && !payload.empty()) {
+  if (!payload.empty()) {
     // The paper's 36-byte per-page header carries the payload CRC-32C in its
     // first word; the Entry keeps a copy so verification needs no header read.
     e.checksum = Crc32(payload);
@@ -247,10 +247,6 @@ void CompressionCache::BindMetrics(MetricRegistry* registry) {
   registry->RegisterGauge("ccache.frames_mapped_peak", [s] {
     return static_cast<double>(s->frames_mapped_peak);
   });
-  gauge("ccache.adaptive_skips", &CcacheStats::adaptive_skips);
-  gauge("ccache.adaptive_probes", &CcacheStats::adaptive_probes);
-  gauge("ccache.adaptive_disables", &CcacheStats::adaptive_disables);
-  gauge("ccache.adaptive_reenables", &CcacheStats::adaptive_reenables);
   gauge("ccache.zero_pages", &CcacheStats::zero_pages);
   gauge("ccache.zero_fault_hits", &CcacheStats::zero_fault_hits);
   gauge("ccache.original_bytes_kept", &CcacheStats::original_bytes_kept);
@@ -297,8 +293,7 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
   // Zero-page fast path (after Pekhimenko/ZipCache: same-value pages dominate
   // real compressed-memory traffic): a word-wise scan is an order of magnitude
   // cheaper than any codec, and an all-zero page needs no codec, no CRC, and no
-  // ring payload — just a marker entry. Runs even while compression is
-  // adaptively disabled, since the scan costs almost nothing.
+  // ring payload — just a marker entry.
   clock_->Advance(costs_->ZeroScanCost(page.size()), TimeCategory::kCompression);
   if (IsZeroPage(page)) {
     // The kCompressKept trace event is recorded at insertion, as usual.
@@ -306,19 +301,6 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
     outcome.keep = true;
     outcome.zero = true;
     return outcome;
-  }
-
-  // Adaptive disable (paper section 6): when recent pages have been almost all
-  // uncompressible, skip the attempt entirely — no effort wasted — probing one in
-  // every probe_interval evictions to notice a change of workload.
-  const AdaptiveCompressionOptions& adaptive = options_.adaptive;
-  if (adaptive.enabled && compression_disabled_) {
-    if (++skips_since_probe_ < adaptive.probe_interval) {
-      ++stats_.adaptive_skips;
-      return outcome;
-    }
-    skips_since_probe_ = 0;
-    ++stats_.adaptive_probes;
   }
 
   // Compression time is charged unconditionally: for pages that fail the
@@ -332,32 +314,6 @@ CompressionCache::CompressOutcome CompressionCache::CompressPage(
   ++stats_.pages_compressed;
 
   const bool keep = options_.threshold.KeepCompressed(page.size(), compressed_size);
-  if (adaptive.enabled) {
-    if (compression_disabled_ && keep) {
-      // The probe compressed well: the workload changed, so resume.
-      compression_disabled_ = false;
-      window_attempts_ = 0;
-      window_rejects_ = 0;
-      ++stats_.adaptive_reenables;
-    } else if (!compression_disabled_) {
-      ++window_attempts_;
-      if (!keep) {
-        ++window_rejects_;
-      }
-      if (window_attempts_ >= adaptive.window) {
-        const double rate = static_cast<double>(window_rejects_) /
-                            static_cast<double>(window_attempts_);
-        if (rate >= adaptive.disable_at_reject_rate) {
-          compression_disabled_ = true;
-          skips_since_probe_ = 0;
-          ++stats_.adaptive_disables;
-        }
-        window_attempts_ = 0;
-        window_rejects_ = 0;
-      }
-    }
-  }
-
   if (!keep) {
     ++stats_.pages_rejected;
     if (tracer_ != nullptr) {
@@ -446,19 +402,19 @@ CcacheFaultResult CompressionCache::FaultIn(PageKey key, std::span<uint8_t> out)
   ScratchArena::Scope scope(*arena_);
   std::span<uint8_t> buf = arena_->Alloc(e->payload_size);
   CopyOut(e->payload_off(), buf);
-  if (options_.verify_on_fault_in && e->checksum != 0) {
-    const uint32_t computed = Crc32(buf);
-    if (computed != e->checksum) {
-      ++stats_.checksum_mismatches;
-      if (tracer_ != nullptr) {
-        tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum,
-                        computed);
-      }
-      return CcacheFaultResult::kCorrupt;
+  // AppendEntry gives every payload a CRC, and Crc32 never returns 0.
+  CC_ASSERT(e->checksum != 0);
+  const uint32_t computed = Crc32(buf);
+  if (computed != e->checksum) {
+    ++stats_.checksum_mismatches;
+    if (tracer_ != nullptr) {
+      tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum,
+                      computed);
     }
+    return CcacheFaultResult::kCorrupt;
   }
   if (!codec_->TryDecompress(buf, out)) {
-    // Malformed stream that still passed (or skipped) the checksum.
+    // Malformed stream that still passed the checksum.
     ++stats_.checksum_mismatches;
     if (tracer_ != nullptr) {
       tracer_->Record(TraceEventKind::kChecksumMismatch, clock_->Now(), key, e->checksum, 0);
@@ -504,17 +460,9 @@ std::optional<uint32_t> CompressionCache::StageImage(PageKey key, std::span<uint
   CC_ASSERT(e->payload_size <= out.size());
   const std::span<uint8_t> image = out.first(e->payload_size);
   CopyOut(e->payload_off(), image);
-  if (options_.verify_on_fault_in && e->checksum != 0) {
-    if (Crc32(image) != e->checksum) {
-      return std::nullopt;
-    }
-  } else {
-    // Nothing vouches for the image: decode it once now, so a corrupt source
-    // stays out of the buffer exactly as an eager decode would keep it out.
-    ScratchArena::Scope scope(*arena_);
-    if (!codec_->TryDecompress(image, arena_->Alloc(out.size()))) {
-      return std::nullopt;
-    }
+  CC_ASSERT(e->checksum != 0);
+  if (Crc32(image) != e->checksum) {
+    return std::nullopt;
   }
   *cost += costs_->DecompressCost(out.size());
   return e->payload_size;
@@ -774,7 +722,7 @@ void CompressionCache::RunCleaner(size_t pool_free_frames) {
     return;
   }
   const size_t clean_target =
-      std::max(options_.clean_frames_target, mapped_count_ / 8);
+      std::max(kCleanFramesTarget, mapped_count_ / 8);
   if (CleanPrefixFrames() >= clean_target) {
     return;
   }

@@ -65,24 +65,10 @@ class CcacheEvents {
   virtual void OnEntryLost(PageKey key) = 0;
 };
 
-// Paper section 5.2/6: "It should be possible to disable compression completely
-// when poor compression is obtained." When enabled, the cache tracks the recent
-// threshold rejection rate; once it exceeds `disable_at_reject_rate` over a
-// window, compression attempts are skipped (no wasted effort), with periodic
-// probes so a change in workload re-enables it.
-struct AdaptiveCompressionOptions {
-  bool enabled = false;  // the paper's measured system did not have this
-  uint32_t window = 64;
-  double disable_at_reject_rate = 0.9;
-  uint32_t probe_interval = 32;
-};
-
 struct CcacheOptions {
   // Boot-time maximum size in frames ("determined at boot time based on the
   // maximum possible size of the cache").
   size_t max_slots = 4096;
-
-  AdaptiveCompressionOptions adaptive;
 
   // Keep-compressed threshold, paper default 4:3.
   CompressionThreshold threshold{4, 3};
@@ -91,15 +77,9 @@ struct CcacheOptions {
   uint32_t write_batch_bytes = kSwapWriteBatch;
 
   // Cleaner rate policy: write a batch when the machine's free-frame pool is below
-  // `pool_free_target` frames and fewer than `clean_frames_target` frames at the
-  // head of the ring are clean/reclaimable.
+  // `pool_free_target` frames and fewer than max(kCleanFramesTarget, 1/8 of the
+  // mapped frames) at the head of the ring are clean/reclaimable.
   size_t pool_free_target = 16;
-  size_t clean_frames_target = 8;
-
-  // End-to-end integrity: record a CRC-32C of each compressed payload in the
-  // entry's 36-byte ring header and re-verify it on every fault-in.
-  bool checksums = true;
-  bool verify_on_fault_in = true;
 
   // Superblock frame packing (after Touché / the Sniper CompressCacheSet
   // organization): entry footprints are rounded up to the sub-block quantum
@@ -121,10 +101,6 @@ struct CcacheStats {
   uint64_t entries_dropped = 0;
   uint64_t invalidations = 0;
   uint64_t frames_mapped_peak = 0;
-  uint64_t adaptive_skips = 0;     // evictions that skipped compression entirely
-  uint64_t adaptive_probes = 0;    // compressions attempted while disabled
-  uint64_t adaptive_disables = 0;  // off transitions
-  uint64_t adaptive_reenables = 0; // on transitions
   uint64_t zero_pages = 0;         // evictions caught by the zero-page scan
   uint64_t zero_fault_hits = 0;    // fault hits served by zero-fill (no codec)
   uint64_t original_bytes_kept = 0;
@@ -211,11 +187,10 @@ class CompressionCache {
   // left untouched (speculation is not a demand reference; a hit refreshes
   // the age later, via Touch). No injector ordinals are drawn: speculation
   // never perturbs the fault schedule. Returns nullopt when the key is absent
-  // or its image would not decode: a payload that fails its checksum, or that
-  // has none to check and fails a trial decode, is simply not prefetched —
-  // the demand fault rediscovers (and meters) the corruption through the real
-  // path. DESIGN.md section 13, "Lazy speculative decode", argues that every
-  // staged image decodes.
+  // or its payload fails its checksum: such an image is simply not prefetched
+  // — the demand fault rediscovers (and meters) the corruption through the
+  // real path. DESIGN.md section 13, "Lazy speculative decode", argues that
+  // every staged image decodes.
   std::optional<uint32_t> StageImage(PageKey key, std::span<uint8_t> out, SimDuration* cost);
 
   // Decodes a staged image into `out`. `image` is the first StageImage()
@@ -301,6 +276,10 @@ class CompressionCache {
   // entry classes (1, 2, 3, or 4 sub-blocks) of a 4-pages-per-frame layout.
   static constexpr uint32_t kSubBlockBytes = kPageSize / 4;
 
+  // Cleaner floor: RunCleaner keeps at least this many clean frames at the
+  // head of the ring (or 1/8 of the mapped frames, whichever is larger).
+  static constexpr size_t kCleanFramesTarget = 8;
+
   // Runs the RegisterAuditChecks set through a local auditor, which names the
   // failing check and aborts on a violation. Test hook.
   void CheckInvariants() const;
@@ -336,7 +315,7 @@ class CompressionCache {
     uint64_t header_off = 0;  // linear (monotonic) byte offset of the entry header
     uint32_t payload_size = 0;
     uint32_t original_size = 0;
-    uint32_t checksum = 0;  // CRC-32C of the payload; 0 = not recorded
+    uint32_t checksum = 0;  // CRC-32C of the payload; 0 for a zero page
     // Reserved-but-unused footprint bytes after the payload: superblock
     // quantization slack. The footprint (and thus the ring chain) includes it.
     uint32_t slack = 0;
@@ -426,12 +405,6 @@ class CompressionCache {
   // Entries turn dirty only when appended, which lands them after it.
   uint64_t first_dirty_seq_ = 0;
   std::unordered_map<PageKey, uint64_t, PageKeyHash> index_;  // key -> sequence number
-
-  // Adaptive-disable state (see AdaptiveCompressionOptions).
-  bool compression_disabled_ = false;
-  uint32_t window_attempts_ = 0;
-  uint32_t window_rejects_ = 0;
-  uint32_t skips_since_probe_ = 0;
 
   CcacheStats stats_;
   LatencyHistogram* kept_ratio_hist_ = nullptr;  // owned by the bound registry

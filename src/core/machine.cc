@@ -150,15 +150,10 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     CcacheOptions cc_options;
     cc_options.max_slots = config_.ccache_max_frames != 0 ? config_.ccache_max_frames
                                                           : pool_.total_frames();
-    cc_options.adaptive = config_.adaptive_compression;
     cc_options.threshold = config_.threshold;
     cc_options.write_batch_bytes = config_.write_batch_bytes;
     cc_options.pool_free_target = std::max<size_t>(16, pool_.total_frames() / 64);
-    cc_options.clean_frames_target = 8;
-    cc_options.checksums = config_.integrity.checksums;
-    cc_options.verify_on_fault_in = config_.integrity.verify_on_fault_in;
     cc_options.superblock_packing = config_.superblock_packing;
-    cswap_->SetVerifyChecksums(config_.integrity.checksums);
     ccache_ = std::make_unique<CompressionCache>(&clock_, &config_.costs, this, codec_.get(),
                                                  cswap_.get(), &event_router_, cc_options);
     ccache_->SetArena(&scratch_arena_);
@@ -190,7 +185,6 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
     }
   } else {
     fixed_swap_ = std::make_unique<FixedSwapLayout>(fs_.get());
-    fixed_swap_->SetVerifyChecksums(config_.integrity.checksums);
     pager_->AttachFixedSwap(fixed_swap_.get());
   }
 
@@ -228,11 +222,10 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
   }
   if (tier_stack_ != nullptr) {
     // Each compressed-RAM tier competes for physical frames like the ccache
-    // ring does: its oldest entry's landing stamp plus the tier's configured
-    // age penalty. Releasing demotes LRU pages down the stack until a frame
-    // actually frees. Non-monotone: promotion and invalidation remove
-    // arbitrary LRU positions. Device-backed tiers hold no frames and are
-    // not registered.
+    // ring does: its oldest entry's landing stamp plus kRamTierAgePenalty.
+    // Releasing demotes LRU pages down the stack until a frame actually
+    // frees. Non-monotone: promotion and invalidation remove arbitrary LRU
+    // positions. Device-backed tiers hold no frames and are not registered.
     for (size_t t = 0; t < tier_stack_->num_tiers(); ++t) {
       if (!tier_stack_->tier_is_ram(t)) {
         continue;
@@ -242,7 +235,7 @@ Machine::Machine(MachineConfig config, Machine* recover_from)
           "tier_" + tier_stack_->tier_name(t),
           [stack, t] { return stack->TierOldestAgeNs(t); },
           [stack, t] { return stack->TierReleaseOldestFrame(t); },
-          tier_stack_->tier_age_penalty(t),
+          kRamTierAgePenalty,
           /*monotone_age=*/false);
     }
   }

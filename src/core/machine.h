@@ -71,13 +71,6 @@ struct FaultInjectionOptions {
   std::vector<uint64_t> power_fail_nth_sectors;
 };
 
-// End-to-end page integrity: CRC-32C on every compressed payload (ring header
-// and swap fragment metadata), verified on decompress/read-in.
-struct IntegrityOptions {
-  bool checksums = true;
-  bool verify_on_fault_in = true;
-};
-
 // Crash consistency: when enabled, the compressed-swap backends keep durable
 // on-disk metadata (a CRC'd intent journal for the clustered and fixed-offset
 // layouts; segment summaries plus rotating checkpoints for LFS) so
@@ -129,10 +122,6 @@ struct MachineConfig {
   // compressed format in order to improve the cache hit rate").
   bool compress_file_cache = false;
 
-  // Paper section 6 extension: adaptively disable compression when recent pages
-  // have been overwhelmingly uncompressible.
-  AdaptiveCompressionOptions adaptive_compression;
-
   BackingKind backing = BackingKind::kLocalDisk;
   SeekDiskParams disk_params;
   NetworkLinkParams network_params;
@@ -153,11 +142,12 @@ struct MachineConfig {
   // turn periodic auditing on for an entire test suite without code changes.
   size_t audit_interval = 0;
 
-  // Robustness knobs: fault injection, bounded disk retry, page integrity,
-  // durable swap metadata (crash recovery).
+  // Robustness knobs: fault injection, bounded disk retry, durable swap
+  // metadata (crash recovery). Page integrity has no knob: every compressed
+  // payload carries a CRC-32C (ring header and swap fragment metadata) that is
+  // verified on every decompress and read-in.
   FaultInjectionOptions fault_injection;
   RetryPolicy retry;
-  IntegrityOptions integrity;
   DurabilityOptions durability;
 
   // Async pipelined I/O: write-behind swap batches, decompress-ahead

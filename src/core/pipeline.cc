@@ -21,7 +21,7 @@ PipelineEngine::PipelineEngine(Clock* clock, const CostModel* costs,
       ccache_(ccache),
       write_behind_(write_behind),
       options_(options),
-      predictor_(options.predictor_seed),
+      predictor_(kPredictorSeed),
       candidates_(static_cast<size_t>(options.prefetch_per_fault) * 2) {
   CC_EXPECTS(clock_ != nullptr);
   CC_EXPECTS(costs_ != nullptr);

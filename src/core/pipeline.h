@@ -67,8 +67,6 @@ struct PipelineOptions {
   // file blocks (one disk operation — the seek is already paid), and
   // decompress-ahead the coresident neighbors it returns. 0 disables.
   uint32_t fault_batch_window = 0;
-  // Seed for the predictor's tie-break draws.
-  uint64_t predictor_seed = 1;
 };
 
 struct PrefetchStats {
@@ -82,6 +80,9 @@ struct PrefetchStats {
 
 class PipelineEngine : public PagePrefetcher {
  public:
+  // Seed of the predictor's tie-break draws (fixed: every run is seeded alike).
+  static constexpr uint64_t kPredictorSeed = 1;
+
   PipelineEngine(Clock* clock, const CostModel* costs, FrameSource* frames,
                  CompressionCache* ccache, WriteBehindBackend* write_behind,
                  const PipelineOptions& options);

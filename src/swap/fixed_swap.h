@@ -61,8 +61,7 @@ class FixedSwapLayout {
     io_failures_ = 0;
   }
 
-  // Same knob and counters as CompressedSwapBackend.
-  void SetVerifyChecksums(bool verify) { verify_checksums_ = verify; }
+  // Same counters as CompressedSwapBackend.
   uint64_t checksum_mismatches() const { return checksum_mismatches_; }
   uint64_t io_failures() const { return io_failures_; }
 
@@ -78,7 +77,6 @@ class FixedSwapLayout {
   std::unordered_map<PageKey, uint32_t, PageKeyHash> written_;
   uint64_t pages_written_ = 0;
   uint64_t pages_read_ = 0;
-  bool verify_checksums_ = true;
   uint64_t checksum_mismatches_ = 0;
   uint64_t io_failures_ = 0;
 };

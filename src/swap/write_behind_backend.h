@@ -82,9 +82,6 @@ class WriteBehindBackend : public CompressedSwapBackend {
   }
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override { inner_->SetTracer(tracer); }
-  void SetVerifyChecksums(bool verify) override {
-    inner_->SetVerifyChecksums(verify);
-  }
 
   // Fires completion events the clock has already passed (never advances it).
   void Poll();

@@ -77,8 +77,6 @@ class TierClassifier {
     return now - it->second <= static_cast<uint64_t>(options_.hot_window.nanos());
   }
 
-  bool promote_on_hot_read() const { return options_.promote_on_hot_read; }
-
   // Drops recency state for an invalidated page (bounds the map by the live
   // address space).
   void Forget(PageKey key) { last_read_ns_.erase(key); }

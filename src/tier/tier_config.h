@@ -27,6 +27,10 @@ enum class TierMedium {
   kSsd,            // second DiskDevice with a position-free latency/bandwidth model
 };
 
+// Arbiter age bias of every kCompressedRam tier: how long the tier's frames
+// are favored over other memory consumers. Device tiers hold no machine frames.
+inline constexpr SimDuration kRamTierAgePenalty = SimDuration::Seconds(8);
+
 struct TierSpec {
   // Unique label; appears in metric names ("tier.<name>.landings") and traces.
   std::string name = "ssd";
@@ -39,10 +43,6 @@ struct TierSpec {
   // byte-for-byte. A non-empty codec makes this a transcoding tier: demoted
   // images are decoded and re-encoded on entry, and reads return the raw page.
   std::string codec;
-  // Arbiter age bias for kCompressedRam tiers (how long the tier's frames are
-  // favored over other memory consumers). Ignored for device tiers, which hold
-  // no machine frames.
-  SimDuration age_penalty = SimDuration::Seconds(8);
   // kSsd timing: flash-class, position-free (NetworkLinkModel underneath).
   SimDuration ssd_latency = SimDuration::Micros(80);
   double ssd_bandwidth_bytes_per_sec = 500.0e6;
@@ -57,7 +57,6 @@ struct TierClassifierOptions {
   // it lands high on its next eviction, and a hot read hit in a lower tier
   // promotes the stored copy one tier up.
   SimDuration hot_window = SimDuration::Millis(50);
-  bool promote_on_hot_read = true;
 };
 
 struct TierOptions {

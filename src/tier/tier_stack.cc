@@ -163,7 +163,7 @@ CompressedSwapBackend::ReadResult TierStack::ReadPage(PageKey key, bool collect_
     result.is_compressed = stored.is_compressed;
     result.original_size = stored.original_size;
     result.checksum = stored.checksum;
-    if (verify_checksums_ && result.checksum != 0) {
+    if (result.checksum != 0) {
       const uint32_t computed = Crc32(result.bytes);
       if (computed != result.checksum) {
         ++checksum_mismatches_;
@@ -187,7 +187,7 @@ CompressedSwapBackend::ReadResult TierStack::ReadPage(PageKey key, bool collect_
   if (tier.read_ns != nullptr) {
     tier.read_ns->Observe(static_cast<double>((clock_->Now() - start).nanos()));
   }
-  if (result.status == IoStatus::kOk && t > 0 && classifier_.promote_on_hot_read() && was_hot &&
+  if (result.status == IoStatus::kOk && t > 0 && was_hot &&
       !in_flight_key_.has_value()) {
     SwapPageImage portable;
     portable.key = key;
@@ -258,16 +258,6 @@ void TierStack::ResetStats() {
     }
   }
   tiers_.back().backend->ResetStats();
-}
-
-void TierStack::SetVerifyChecksums(bool verify) {
-  verify_checksums_ = verify;
-  for (Tier& tier : tiers_) {
-    if (tier.owned_layout != nullptr) {
-      tier.owned_layout->SetVerifyChecksums(verify);
-    }
-  }
-  tiers_.back().backend->SetVerifyChecksums(verify);
 }
 
 void TierStack::SetTracer(EventTracer* tracer) {

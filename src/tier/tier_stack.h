@@ -77,7 +77,6 @@ class TierStack : public CompressedSwapBackend {
   void ForEachPage(const std::function<void(PageKey)>& fn) const override;
   void RegisterAuditChecks(InvariantAuditor* auditor) override;
   void ResetStats() override;
-  void SetVerifyChecksums(bool verify) override;
   void BindMetrics(MetricRegistry* registry) override;
   void SetTracer(EventTracer* tracer) override;
 
@@ -85,7 +84,6 @@ class TierStack : public CompressedSwapBackend {
   size_t num_tiers() const { return tiers_.size(); }
   const std::string& tier_name(size_t t) const { return tiers_[t].spec.name; }
   bool tier_is_ram(size_t t) const { return tiers_[t].is_ram; }
-  SimDuration tier_age_penalty(size_t t) const { return tiers_[t].spec.age_penalty; }
   // Arbiter hooks for compressed-RAM tiers: the virtual timestamp of the
   // tier's LRU entry (UINT64_MAX when empty), and demote-until-a-frame-frees.
   uint64_t TierOldestAgeNs(size_t t) const;

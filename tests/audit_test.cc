@@ -607,17 +607,7 @@ TEST(AuditTest, ResetStatsZeroesPipelineEraCounters) {
 // clustered disk so every tier level exists and sees traffic first.
 TEST(AuditTest, ResetStatsZeroesTierEraCounters) {
   MachineConfig config = SmallConfig(true);
-  config.tiers.enabled = true;
-  TierSpec ram;
-  ram.name = "ram";
-  ram.medium = TierMedium::kCompressedRam;
-  ram.capacity_bytes = 128 * kKiB;
-  TierSpec ssd;
-  ssd.name = "ssd";
-  ssd.medium = TierMedium::kSsd;
-  ssd.capacity_bytes = 512 * kKiB;
-  config.tiers.tiers = {ram, ssd};
-  config.tiers.classifier.hot_window = SimDuration::Seconds(120);
+  AddRamSsdTiers(&config);
   config.ccache_max_frames = 128;
   Machine machine(config);
   Heap heap = machine.NewHeap(4 * kMiB);

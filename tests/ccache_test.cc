@@ -372,63 +372,6 @@ TEST_F(CcacheTest, DecompressImageChargesTime) {
 }
 
 
-class AdaptiveCcacheTest : public CcacheTest {
- protected:
-  AdaptiveCcacheTest() : CcacheTest() {
-    CcacheOptions options;
-    options.max_slots = 64;
-    options.adaptive.enabled = true;
-    options.adaptive.window = 16;
-    options.adaptive.disable_at_reject_rate = 0.9;
-    options.adaptive.probe_interval = 8;
-    cache_ = std::make_unique<CompressionCache>(&clock_, &costs_, &frames_, &codec_, &swap_,
-                                                &events_, options);
-  }
-};
-
-TEST_F(AdaptiveCcacheTest, DisablesAfterSustainedRejection) {
-  for (uint32_t i = 0; i < 16; ++i) {
-    EXPECT_FALSE(cache_->CompressAndInsert(PageKey{0, i},
-                                           MakePage(ContentClass::kRandom, 700 + i), true));
-  }
-  EXPECT_EQ(cache_->stats().adaptive_disables, 1u);
-
-  // Now compression attempts are skipped: only the (cheap) zero-page scan is
-  // charged — the codec, which is what "effort" means here, never runs.
-  const SimTime before = clock_.Now();
-  EXPECT_FALSE(cache_->CompressAndInsert(PageKey{0, 100},
-                                         MakePage(ContentClass::kRandom, 800), true));
-  EXPECT_EQ((clock_.Now() - before).nanos(), costs_.ZeroScanCost(kPageSize).nanos());
-  EXPECT_GT(cache_->stats().adaptive_skips, 0u);
-}
-
-TEST_F(AdaptiveCcacheTest, ProbeReenablesWhenWorkloadChanges) {
-  for (uint32_t i = 0; i < 16; ++i) {
-    cache_->CompressAndInsert(PageKey{0, i}, MakePage(ContentClass::kRandom, 700 + i), true);
-  }
-  ASSERT_EQ(cache_->stats().adaptive_disables, 1u);
-
-  // Feed compressible pages; within a probe interval the cache must resume.
-  uint32_t inserted = 0;
-  for (uint32_t i = 0; i < 32; ++i) {
-    if (cache_->CompressAndInsert(PageKey{1, i},
-                                  MakePage(ContentClass::kRepetitiveText, 900 + i), true)) {
-      ++inserted;
-    }
-  }
-  EXPECT_EQ(cache_->stats().adaptive_reenables, 1u);
-  EXPECT_GT(inserted, 16u);  // once re-enabled, pages are kept again
-}
-
-TEST_F(AdaptiveCcacheTest, StaysEnabledOnCompressibleWork) {
-  for (uint32_t i = 0; i < 64; ++i) {
-    cache_->CompressAndInsert(PageKey{0, i}, MakePage(ContentClass::kRepetitiveText, 50 + i),
-                              true);
-  }
-  EXPECT_EQ(cache_->stats().adaptive_disables, 0u);
-  EXPECT_EQ(cache_->stats().adaptive_skips, 0u);
-}
-
 // Property test: random operation sequences keep invariants and never lose data.
 TEST_F(CcacheTest, RandomOperationsKeepInvariants) {
   Rng rng(777);

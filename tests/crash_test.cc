@@ -20,6 +20,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -596,7 +597,7 @@ bool IsAllZero(std::span<const uint8_t> page) {
   return std::all_of(page.begin(), page.end(), [](uint8_t b) { return b == 0; });
 }
 
-MachineConfig CrashConfig(CompressedSwapKind kind, bool superblock) {
+MachineConfig CrashConfig(CompressedSwapKind kind, bool superblock, bool tiered) {
   // 2 MiB leaves room for the LFS backend's 512 KB segment buffer; the
   // 640-page (2.5 MiB) working set still forces steady eviction traffic.
   MachineConfig config = SmallConfig(/*use_ccache=*/true, /*memory_bytes=*/2 * kMiB);
@@ -606,6 +607,12 @@ MachineConfig CrashConfig(CompressedSwapKind kind, bool superblock) {
   config.durability.lfs_checkpoint_interval = 2;
   config.fault_injection.enabled = true;
   config.fault_injection.seed = 7;
+  if (tiered) {
+    // The long hot window keeps pages on the SSD tier: with the default one,
+    // none is left there at the end.
+    AddRamSsdTiers(&config);
+    config.ccache_max_frames = 64;
+  }
   return config;
 }
 
@@ -624,31 +631,40 @@ void CrashWorkload(Machine& machine, Segment* segment,
   }
 }
 
+// Parameters: swap layout, superblock packing, and a RAM + SSD tier stack.
+// With tiers, only the bottom (disk) tier is durable: TierStack::Mount
+// rebuilds it alone, so pages whose one copy sat on the SSD or RAM tier at the
+// power failure are lost, exactly like dirty ccache pages (DESIGN.md §20).
 class MachineCrashGrid
-    : public ::testing::TestWithParam<std::tuple<CompressedSwapKind, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<CompressedSwapKind, bool, bool>> {};
 
 TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
-  const auto [kind, superblock] = GetParam();
+  const auto [kind, superblock, tiered] = GetParam();
 
   // Dry run: how many power-fail crash points does the workload expose?
   uint64_t total_sectors = 0;
   {
-    Machine machine(CrashConfig(kind, superblock));
+    Machine machine(CrashConfig(kind, superblock, tiered));
     Segment* segment = machine.pager().CreateSegment(kMachinePages);
     std::vector<uint32_t> versions(kMachinePages, 0);
     CrashWorkload(machine, segment, &versions);
     ASSERT_NE(machine.fault_injector(), nullptr);
     total_sectors = machine.fault_injector()->ops(FaultSite::kPowerFail);
     ASSERT_GT(total_sectors, 100u) << "workload produced too little disk traffic";
+    if (tiered) {
+      ASSERT_GT(machine.metrics().GaugeValue("tier.ssd.pages"), 0.0)
+          << "no page reached the SSD tier, so no crash point can strand one there";
+    }
   }
 
   const uint64_t stride = std::max<uint64_t>(1, total_sectors / 8);
   size_t crashes = 0;
   uint64_t grid_recovered = 0;
+  uint64_t grid_stranded = 0;
   for (uint64_t crash_sector = stride / 2 + 1; crash_sector <= total_sectors;
        crash_sector += stride) {
     SCOPED_TRACE("crash at sector " + std::to_string(crash_sector));
-    MachineConfig config = CrashConfig(kind, superblock);
+    MachineConfig config = CrashConfig(kind, superblock, tiered);
     config.fault_injection.power_fail_nth_sectors = {crash_sector};
 
     Machine machine(config);
@@ -664,10 +680,28 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
     ++crashes;
     EXPECT_EQ(machine.metrics().GaugeValue("fault.crashes"), 1.0);
 
+    // Pages whose one stack copy sat on an intermediate (RAM or SSD) tier.
+    std::set<uint32_t> stranded;
+    if (const TierStack* stack = machine.tier_stack(); stack != nullptr) {
+      for (uint32_t p = 0; p < kMachinePages; ++p) {
+        const std::optional<size_t> t = stack->TierOf(PageKey{segment->id(), p});
+        if (t.has_value() && *t + 1 < stack->num_tiers()) {
+          stranded.insert(p);
+        }
+      }
+    }
+    grid_stranded += stranded.size();
+
     auto recovered = Machine::Recover(machine);
     const RecoveryStats& stats = recovered->recovery_stats();
     EXPECT_EQ(stats.mounts, 1u);
     grid_recovered += stats.pages_recovered;
+    if (const TierStack* stack = recovered->tier_stack(); stack != nullptr) {
+      // Only the bottom tier is rebuilt: the upper tiers mount empty.
+      for (size_t t = 0; t + 1 < stack->num_tiers(); ++t) {
+        EXPECT_EQ(stack->tier_pages(t), 0u) << "tier " << stack->tier_name(t);
+      }
+    }
 
     // Every touched page of the crashed machine is accounted for, once.
     size_t touched = 0;
@@ -712,6 +746,8 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
         ++lost_seen;
         continue;
       }
+      EXPECT_FALSE(stranded.contains(p))
+          << "page " << p << " sat on an upper tier at the crash but was recovered";
       bool known = false;
       for (uint32_t v = 1; v <= versions[p] && !known; ++v) {
         known = MatchesPattern(span, p, v);
@@ -739,11 +775,14 @@ TEST_P(MachineCrashGrid, RecoverRebuildsAConsistentMachine) {
   }
   ASSERT_GT(crashes, 0u);
   EXPECT_GT(grid_recovered, 0u) << "grid never recovered a single page";
+  if (tiered) {
+    EXPECT_GT(grid_stranded, 0u) << "no crash point stranded a page on an upper tier";
+  }
 }
 
 std::string MachineGridName(
-    const ::testing::TestParamInfo<std::tuple<CompressedSwapKind, bool>>& info) {
-  const auto [kind, superblock] = info.param;
+    const ::testing::TestParamInfo<std::tuple<CompressedSwapKind, bool, bool>>& info) {
+  const auto [kind, superblock, tiered] = info.param;
   std::string name;
   switch (kind) {
     case CompressedSwapKind::kClustered:
@@ -756,7 +795,7 @@ std::string MachineGridName(
       name = "lfs";
       break;
   }
-  return name + (superblock ? "_superblock" : "_flat");
+  return name + (superblock ? "_superblock" : "_flat") + (tiered ? "_tiered" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -764,7 +803,15 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CompressedSwapKind::kClustered,
                                          CompressedSwapKind::kFixedOffset,
                                          CompressedSwapKind::kLfs),
-                       ::testing::Values(false, true)),
+                       ::testing::Values(false, true), ::testing::Values(false)),
+    MachineGridName);
+
+INSTANTIATE_TEST_SUITE_P(
+    TieredAllBackendsBothPackings, MachineCrashGrid,
+    ::testing::Combine(::testing::Values(CompressedSwapKind::kClustered,
+                                         CompressedSwapKind::kFixedOffset,
+                                         CompressedSwapKind::kLfs),
+                       ::testing::Values(false, true), ::testing::Values(true)),
     MachineGridName);
 
 // A machine with durability off must not pay for any of this: no journal
@@ -788,7 +835,7 @@ TEST(MachineCrash, DurabilityOffWritesNoJournalFiles) {
 // Recover on an LFS machine that crashed before any checkpoint existed must
 // still mount (empty checkpoint, roll-forward from summaries alone).
 TEST(MachineCrash, LfsRecoversFromSummariesWithoutACheckpoint) {
-  MachineConfig config = CrashConfig(CompressedSwapKind::kLfs, false);
+  MachineConfig config = CrashConfig(CompressedSwapKind::kLfs, false, false);
   config.durability.lfs_checkpoint_interval = 1000;  // never checkpoint
 
   uint64_t total_sectors = 0;

@@ -6,6 +6,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "compress/pagegen.h"
@@ -71,11 +72,6 @@ std::vector<MatrixParam> AllConfigs() {
   }
   {
     MachineConfig c = MachineConfig::WithCompressionCache(2 * kMiB);
-    c.adaptive_compression.enabled = true;
-    params.push_back({"cc_adaptive", c});
-  }
-  {
-    MachineConfig c = MachineConfig::WithCompressionCache(2 * kMiB);
     c.backing = BackingKind::kNetworkLink;
     params.push_back({"cc_network", c});
   }
@@ -89,6 +85,24 @@ std::vector<MatrixParam> AllConfigs() {
     MachineConfig c = MachineConfig::WithCompressionCache(2 * kMiB);
     c.biases.ccache = SimDuration::Seconds(0);
     params.push_back({"cc_zero_bias", c});
+  }
+  // Composed rows, one per compressed layout: a RAM + SSD tier stack under a
+  // capped ccache, the full async pipeline, and superblock packing at once.
+  const std::pair<const char*, CompressedSwapKind> layouts[] = {
+      {"composed_clustered", CompressedSwapKind::kClustered},
+      {"composed_fixed_offset", CompressedSwapKind::kFixedOffset},
+      {"composed_lfs", CompressedSwapKind::kLfs}};
+  for (const auto& [name, kind] : layouts) {
+    MachineConfig c = MachineConfig::WithCompressionCache(2 * kMiB);
+    c.compressed_swap = kind;
+    c.superblock_packing = true;
+    c.ccache_max_frames = 64;
+    c.pipeline.enabled = true;
+    c.pipeline.write_behind_depth = 4;
+    c.pipeline.prefetch = true;
+    c.pipeline.fault_batch_window = 2;
+    AddRamSsdTiers(&c);
+    params.push_back({name, c});
   }
   return params;
 }
@@ -144,6 +158,13 @@ TEST_P(ConfigMatrixTest, RandomizedWorkloadMatchesReference) {
   machine.pager().CheckInvariants();
   if (machine.ccache() != nullptr) {
     machine.ccache()->CheckInvariants();
+  }
+  if (const TierStack* stack = machine.tier_stack(); stack != nullptr) {
+    // The composed rows must reach the intermediate tiers, not only the disk.
+    for (size_t t = 0; t + 1 < stack->num_tiers(); ++t) {
+      EXPECT_GT(stack->tier_counters(t).landings + stack->tier_counters(t).demotions_in, 0u)
+          << GetParam().name << " tier " << stack->tier_name(t);
+    }
   }
 }
 

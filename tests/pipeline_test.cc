@@ -454,9 +454,8 @@ struct LazyDecodeRun {
   size_t audit_violations = 0;
 };
 
-LazyDecodeRun RunLazyDecodeWorkload(bool prefetch, bool checksums) {
+LazyDecodeRun RunLazyDecodeWorkload(bool prefetch) {
   MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
-  config.integrity.checksums = checksums;
   if (prefetch) {
     config.pipeline.enabled = true;
     config.pipeline.write_behind_depth = 4;
@@ -520,27 +519,24 @@ LazyDecodeRun RunLazyDecodeWorkload(bool prefetch, bool checksums) {
 }
 
 TEST(LazyDecodeTest, BufferHitsServeTheSameBytesAsPrefetchOff) {
-  for (const bool checksums : {true, false}) {
-    SCOPED_TRACE(checksums ? "checksums on: CRC verdict" : "checksums off: trial decode");
-    const LazyDecodeRun off = RunLazyDecodeWorkload(/*prefetch=*/false, checksums);
-    const LazyDecodeRun on = RunLazyDecodeWorkload(/*prefetch=*/true, checksums);
+  const LazyDecodeRun off = RunLazyDecodeWorkload(/*prefetch=*/false);
+  const LazyDecodeRun on = RunLazyDecodeWorkload(/*prefetch=*/true);
 
-    EXPECT_EQ(on.page_hash, off.page_hash);
-    EXPECT_GT(on.numeric_walk_hits, 0u) << "no compressed entry was served from the buffer";
-    EXPECT_GT(on.zero_walk_hits, 0u) << "no zero-page entry was served from the buffer";
-    EXPECT_GT(on.prefetch.hits, 0u);
-    EXPECT_GT(on.prefetch.misses, 0u);
-    EXPECT_EQ(on.prefetch.issued, on.prefetch.hits + on.prefetch.misses);
-    EXPECT_EQ(on.faults_prefetch_hit, on.prefetch.hits);
-    EXPECT_EQ(on.audit_violations, 0u);
-    EXPECT_EQ(off.audit_violations, 0u);
-  }
+  EXPECT_EQ(on.page_hash, off.page_hash);
+  EXPECT_GT(on.numeric_walk_hits, 0u) << "no compressed entry was served from the buffer";
+  EXPECT_GT(on.zero_walk_hits, 0u) << "no zero-page entry was served from the buffer";
+  EXPECT_GT(on.prefetch.hits, 0u);
+  EXPECT_GT(on.prefetch.misses, 0u);
+  EXPECT_EQ(on.prefetch.issued, on.prefetch.hits + on.prefetch.misses);
+  EXPECT_EQ(on.faults_prefetch_hit, on.prefetch.hits);
+  EXPECT_EQ(on.audit_violations, 0u);
+  EXPECT_EQ(off.audit_violations, 0u);
 }
 
 // The stride walk t-3, t-2, t-1 confirms stride +1, so the fault on t-1
 // predicts t first and t+1 second (one issue per fault). With `corrupt`, one
 // bit of t's stored payload is flipped before the walk — a bit the codec
-// rejects, so the verdict does not hinge on the checksum.
+// still decodes, to wrong bytes, so only the checksum can catch it.
 struct VerdictRun {
   bool target_buffered = false;  // after the fault on t-1
   bool next_buffered = false;
@@ -552,9 +548,8 @@ struct VerdictRun {
   size_t audit_violations = 0;
 };
 
-VerdictRun RunCorruptionVerdict(bool prefetch, bool checksums, bool corrupt) {
+VerdictRun RunCorruptionVerdict(bool prefetch, bool corrupt) {
   MachineConfig config = MachineConfig::WithCompressionCache(2 * kMiB);
-  config.integrity.checksums = checksums;
   if (prefetch) {
     config.pipeline.enabled = true;
     config.pipeline.write_behind_depth = 4;
@@ -592,8 +587,8 @@ VerdictRun RunCorruptionVerdict(bool prefetch, bool checksums, bool corrupt) {
   CC_ASSERT(t != 0 && "no run of five compressed pages");
   const PageKey target{seg, t};
 
-  // A payload bit whose flip the codec rejects (the trial decode's case when
-  // no checksum vouches for the image).
+  // A payload bit whose flip the codec accepts, decoding to wrong bytes: a
+  // fault path that skipped the checksum would serve them.
   const std::vector<uint8_t> payload = *machine.ccache()->RawPayloadFor(target);
   const std::unique_ptr<Codec> codec = MakeCodec(config.codec);
   std::vector<uint8_t> scratch(kPageSize);
@@ -601,11 +596,11 @@ VerdictRun RunCorruptionVerdict(bool prefetch, bool checksums, bool corrupt) {
   for (; bit < payload.size() * 8; ++bit) {
     std::vector<uint8_t> flipped = payload;
     flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    if (!codec->TryDecompress(flipped, scratch)) {
+    if (codec->TryDecompress(flipped, scratch) && scratch != reference[t]) {
       break;
     }
   }
-  CC_ASSERT(bit < payload.size() * 8 && "no single-bit flip is rejected by the codec");
+  CC_ASSERT(bit < payload.size() * 8 && "no single-bit flip decodes to wrong bytes");
   if (corrupt) {
     machine.ccache()->CorruptPayloadBitForTest(target, bit);
   }
@@ -635,33 +630,30 @@ VerdictRun RunCorruptionVerdict(bool prefetch, bool checksums, bool corrupt) {
 }
 
 TEST(LazyDecodeTest, CorruptSourceIsNotBufferedAndTheDemandFaultTakesTheLadder) {
-  for (const bool checksums : {true, false}) {
-    SCOPED_TRACE(checksums ? "checksums on: CRC verdict" : "checksums off: trial decode");
-    // Control: intact, the target is the next page buffered.
-    const VerdictRun control = RunCorruptionVerdict(/*prefetch=*/true, checksums, false);
-    ASSERT_TRUE(control.target_buffered) << "the walk no longer predicts the target";
-    EXPECT_EQ(control.target_prefetch_hits, 1u);
-    EXPECT_EQ(control.mismatches, 0u);
-    EXPECT_TRUE(control.target_intact);
+  // Control: intact, the target is the next page buffered.
+  const VerdictRun control = RunCorruptionVerdict(/*prefetch=*/true, false);
+  ASSERT_TRUE(control.target_buffered) << "the walk no longer predicts the target";
+  EXPECT_EQ(control.target_prefetch_hits, 1u);
+  EXPECT_EQ(control.mismatches, 0u);
+  EXPECT_TRUE(control.target_intact);
 
-    const VerdictRun off = RunCorruptionVerdict(/*prefetch=*/false, checksums, true);
-    const VerdictRun on = RunCorruptionVerdict(/*prefetch=*/true, checksums, true);
-    // Not buffered: the engine moved on to the next prediction instead.
-    EXPECT_FALSE(on.target_buffered);
-    EXPECT_TRUE(on.next_buffered);
-    EXPECT_EQ(on.target_prefetch_hits, 0u);
-    // The demand fault meets the corruption exactly as with prefetch off.
-    EXPECT_EQ(off.mismatches, 1u);
-    EXPECT_EQ(on.mismatches, off.mismatches);
-    EXPECT_EQ(on.recovered, off.recovered);
-    EXPECT_EQ(on.lost, off.lost);
-    EXPECT_EQ(off.recovered, 1u) << "the flushed backing copy should recover the page";
-    EXPECT_TRUE(off.target_intact);
-    EXPECT_TRUE(on.target_intact);
-    EXPECT_EQ(control.audit_violations, 0u);
-    EXPECT_EQ(off.audit_violations, 0u);
-    EXPECT_EQ(on.audit_violations, 0u);
-  }
+  const VerdictRun off = RunCorruptionVerdict(/*prefetch=*/false, true);
+  const VerdictRun on = RunCorruptionVerdict(/*prefetch=*/true, true);
+  // Not buffered: the engine moved on to the next prediction instead.
+  EXPECT_FALSE(on.target_buffered);
+  EXPECT_TRUE(on.next_buffered);
+  EXPECT_EQ(on.target_prefetch_hits, 0u);
+  // The demand fault meets the corruption exactly as with prefetch off.
+  EXPECT_EQ(off.mismatches, 1u);
+  EXPECT_EQ(on.mismatches, off.mismatches);
+  EXPECT_EQ(on.recovered, off.recovered);
+  EXPECT_EQ(on.lost, off.lost);
+  EXPECT_EQ(off.recovered, 1u) << "the flushed backing copy should recover the page";
+  EXPECT_TRUE(off.target_intact);
+  EXPECT_TRUE(on.target_intact);
+  EXPECT_EQ(control.audit_violations, 0u);
+  EXPECT_EQ(off.audit_violations, 0u);
+  EXPECT_EQ(on.audit_violations, 0u);
 }
 
 }  // namespace

@@ -15,6 +15,22 @@ inline MachineConfig SmallConfig(bool use_ccache, uint64_t memory_bytes = 2 * kM
   return config;
 }
 
+// Turns on a RAM 128 KiB + SSD 512 KiB tier stack. The hot window outlives a
+// fault's virtual service time (tens of ms), so pages can count as hot.
+inline void AddRamSsdTiers(MachineConfig* config) {
+  config->tiers.enabled = true;
+  TierSpec ram;
+  ram.name = "ram";
+  ram.medium = TierMedium::kCompressedRam;
+  ram.capacity_bytes = 128 * kKiB;
+  TierSpec ssd;
+  ssd.name = "ssd";
+  ssd.medium = TierMedium::kSsd;
+  ssd.capacity_bytes = 512 * kKiB;
+  config->tiers.tiers = {ram, ssd};
+  config->tiers.classifier.hot_window = SimDuration::Seconds(120);
+}
+
 // FNV-1a hash over every materialized page of every live segment (segment id,
 // page index, page bytes), read through the pager. Two machines whose
 // workloads computed the same data hash equal no matter how the pages are

@@ -170,7 +170,6 @@ struct StackHarness {
         &clock, &costs, &frames, codec.get(),
         std::make_unique<ClusteredSwapLayout>(&fs, ClusteredSwapLayout::Options{}),
         std::move(options));
-    stack->SetVerifyChecksums(true);
   }
 
   size_t CleanAudit() {
